@@ -27,7 +27,7 @@
 
 use ghd_bench::table::Args;
 use ghd_core::io::{parse_ghd, parse_td, write_ghd, write_td};
-use ghd_core::json::Json;
+use ghd_core::json::{escape, Json};
 use ghd_core::{bucket, CoverMethod, EliminationOrdering};
 use ghd_hypergraph::generators::{graphs, hypergraphs};
 use ghd_hypergraph::io as hio;
@@ -76,7 +76,25 @@ fn targets() -> Vec<Target> {
             "prunes": {"simplicial": 4}}], "ok": true}"#
             .to_string(),
         r#"[1, -2.5e3, "str\nA", [true, false, null], {}]"#.to_string(),
+        // escapes between plain runs, multibyte text, raw control bytes
+        "{\"esc\": \"q\\\" b\\\\ s\\/ \\b\\f\\n\\r\\t \\u0041\\u00e9\\u2003 end\", \
+         \"ü\": \"αβ✓ 𝄞 😀\", \"raw\": \"tab\tcr\r\u{1}\"}"
+            .to_string(),
+        format!("\"{}\"", escape(&hio::write_hypergraph(&hs[0]))),
     ];
+    // the hypergraph parser tokenises comment-free LF input in place and
+    // rewrites input holding `%`, `#` or `\r` first: seed both paths,
+    // plus non-ASCII whitespace between and inside atoms
+    let hyper_corpus: Vec<String> = hs
+        .iter()
+        .map(hio::write_hypergraph)
+        .flat_map(|text| {
+            let commented = format!("% header\n{}# trailer\n", text.replace(",\n", ", % note\n"));
+            let crlf = text.replace('\n', "\r\n");
+            let unicode_ws = text.replace(",\n", ",\u{a0}\u{2003}\n").replace('(', "\u{2003}(\u{a0}");
+            [text, commented, crlf, unicode_ws]
+        })
+        .collect();
 
     vec![
         Target {
@@ -91,7 +109,7 @@ fn targets() -> Vec<Target> {
         },
         Target {
             name: "hypergraph",
-            corpus: hs.iter().map(hio::write_hypergraph).collect(),
+            corpus: hyper_corpus,
             parse: Box::new(|s| hio::parse_hypergraph(s).is_ok()),
         },
         Target {
@@ -200,6 +218,13 @@ fn main() {
     let seed: u64 = args.get("seed").unwrap_or(7);
 
     let targets = targets();
+    // mutants start from valid inputs: a seed that does not parse would
+    // leave its parser's accepting paths unexplored
+    for t in &targets {
+        for (i, base) in t.corpus.iter().enumerate() {
+            assert!((t.parse)(base), "fuzz_inputs: corpus seed {i} of `{}` does not parse", t.name);
+        }
+    }
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
     let mut total: u64 = 0;
     let mut accepted: u64 = 0;

@@ -1015,17 +1015,6 @@ pub struct BlockCache {
     inner: std::sync::Mutex<ghd_core::canon::DecompCache>,
 }
 
-/// FNV-1a over the canonical block text: only narrows the LRU's candidate
-/// bucket — the cache verifies the canonical text exactly on every probe.
-fn block_hash(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
-
 impl BlockCache {
     /// An empty cache holding at most `cap_bytes` of block solutions.
     pub fn new(cap_bytes: usize) -> BlockCache {
@@ -1036,7 +1025,7 @@ impl BlockCache {
 
     fn key(canon: &str) -> ghd_core::canon::CacheKey {
         ghd_core::canon::CacheKey {
-            hash: block_hash(canon),
+            hash: ghd_core::canon::text_hash(canon),
             canon: canon.to_string(),
             signature: "block".to_string(),
         }
@@ -1082,6 +1071,18 @@ impl Default for BlockCache {
     }
 }
 
+/// The instance re-serialized by the workspace writers, so comments,
+/// whitespace and format never split cache entries; `None` for an
+/// unknown command or an unparseable instance (those go uncached, and the
+/// solve path reports the error).
+fn canonical_text(cmd: &str, instance: &str) -> Option<String> {
+    match cmd {
+        "tw" => load_graph(instance).ok().map(|g| io::write_dimacs(&g)),
+        "ghw" => io::parse_hypergraph(instance).ok().map(|h| io::write_hypergraph(&h)),
+        _ => None,
+    }
+}
+
 /// The normalized flag set as a cache-signature component: last
 /// occurrence wins per key (mirroring [`opt`]'s resolution), then sorted,
 /// so flag order never splits cache entries. Spelling a default out
@@ -1118,21 +1119,8 @@ impl ghd_serve::Solver for CliSolver {
         if !matches!(stats_format(&opts), Ok(None)) {
             return None;
         }
-        // canonical text = the parsed instance re-serialized by the
-        // workspace writers, so comments/whitespace/format never split
-        // cache entries; unparseable instances simply go uncached (the
-        // solve path reports the parse error)
-        let (canon, hash) = match cmd {
-            "tw" => {
-                let g = load_graph(instance).ok()?;
-                (io::write_dimacs(&g), ghd_core::canon::graph_hash(&g))
-            }
-            "ghw" => {
-                let h = io::parse_hypergraph(instance).ok()?;
-                (io::write_hypergraph(&h), ghd_core::canon::hypergraph_hash(&h))
-            }
-            _ => return None,
-        };
+        let canon = canonical_text(cmd, instance)?;
+        let hash = ghd_core::canon::text_hash(&canon);
         Some(ghd_serve::CacheKey { hash, canon, signature: signature_of(cmd, &opts) })
     }
 
@@ -1174,23 +1162,8 @@ impl ghd_serve::Solver for CliSolver {
     /// payload) fails closed and the record is skipped.
     fn verify_replay(&self, key: &ghd_serve::CacheKey) -> bool {
         let cmd = key.signature.split_whitespace().next().unwrap_or("");
-        match cmd {
-            "tw" => match load_graph(&key.canon) {
-                Ok(g) => {
-                    io::write_dimacs(&g) == key.canon
-                        && ghd_core::canon::graph_hash(&g) == key.hash
-                }
-                Err(_) => false,
-            },
-            "ghw" => match io::parse_hypergraph(&key.canon) {
-                Ok(h) => {
-                    io::write_hypergraph(&h) == key.canon
-                        && ghd_core::canon::hypergraph_hash(&h) == key.hash
-                }
-                Err(_) => false,
-            },
-            _ => false,
-        }
+        canonical_text(cmd, &key.canon).is_some_and(|canon| canon == key.canon)
+            && ghd_core::canon::text_hash(&key.canon) == key.hash
     }
 }
 

@@ -7,10 +7,8 @@
 //! lines, blank lines, and whitespace never reach the search. The cache
 //! key therefore has three parts:
 //!
-//! 1. a cheap structural **refinement hash** ([`graph_hash`] /
-//!    [`hypergraph_hash`]) — a few rounds of Weisfeiler–Leman-style color
-//!    refinement folded through the workspace's deterministic FxHash, used
-//!    only to pick the bucket;
+//! 1. a **bucket hash** ([`text_hash`]) — FxHash over the canonical
+//!    text's bytes, used only to pick the bucket;
 //! 2. the **canonical text** — the instance re-serialized by the
 //!    workspace's own writers, compared for exact equality on every probe
 //!    (like the interners in `ghd_prng::hash`-keyed maps, a hash match is
@@ -27,72 +25,26 @@
 pub mod log;
 
 use crate::setcover::CacheStats;
-use ghd_hypergraph::{Graph, Hypergraph};
-use ghd_prng::hash::fx_hash_words;
+use ghd_prng::hash::FxHasher;
+use std::hash::Hasher as _;
 
-/// Color-refinement rounds. Three rounds separate everything the cache
-/// will ever see in practice; collisions are harmless anyway because every
-/// probe verifies the canonical text.
-const REFINEMENT_ROUNDS: usize = 3;
-
-fn mix_sorted(seed: u64, mut words: Vec<u64>) -> u64 {
-    words.sort_unstable();
-    words.insert(0, seed);
-    fx_hash_words(&words)
-}
-
-/// Structural hash of a graph: vertex colors start at degree, then each
-/// round re-colors a vertex by the sorted multiset of its neighbors'
-/// colors. Label- and edge-order-insensitive by construction.
-pub fn graph_hash(g: &Graph) -> u64 {
-    let n = g.num_vertices();
-    let mut colors: Vec<u64> = (0..n).map(|v| g.degree(v) as u64).collect();
-    for round in 0..REFINEMENT_ROUNDS {
-        let mut next = vec![0u64; n];
-        for v in 0..n {
-            let neigh: Vec<u64> = g.neighbors(v).iter().map(|u| colors[u]).collect();
-            next[v] = mix_sorted(colors[v].wrapping_add(round as u64), neigh);
-        }
-        colors = next;
-    }
-    let summary = mix_sorted(n as u64, colors);
-    fx_hash_words(&[0x0067_7261_7068_u64, n as u64, g.num_edges() as u64, summary])
-}
-
-/// Structural hash of a hypergraph: vertex colors start at incidence
-/// degree, edge colors at arity; rounds alternate vertex←edges and
-/// edge←vertices re-coloring.
-pub fn hypergraph_hash(h: &Hypergraph) -> u64 {
-    let n = h.num_vertices();
-    let m = h.num_edges();
-    let mut vcol: Vec<u64> = (0..n).map(|v| h.edges_containing(v).len() as u64).collect();
-    let mut ecol: Vec<u64> = (0..m).map(|e| h.edge(e).len() as u64).collect();
-    for round in 0..REFINEMENT_ROUNDS {
-        let next_v: Vec<u64> = (0..n)
-            .map(|v| {
-                let inc: Vec<u64> = h.edges_containing(v).iter().map(|&e| ecol[e]).collect();
-                mix_sorted(vcol[v].wrapping_add(round as u64), inc)
-            })
-            .collect();
-        let next_e: Vec<u64> = (0..m)
-            .map(|e| {
-                let mem: Vec<u64> = h.edge(e).iter().map(|v| next_v[v]).collect();
-                mix_sorted(ecol[e], mem)
-            })
-            .collect();
-        vcol = next_v;
-        ecol = next_e;
-    }
-    let vs = mix_sorted(n as u64, vcol);
-    let es = mix_sorted(m as u64, ecol);
-    fx_hash_words(&[0x0068_7970_6572_u64, n as u64, m as u64, vs, es])
+/// Bucket hash of a canonical text: the workspace's deterministic FxHash
+/// over its bytes, length first. Two instances share a bucket when their
+/// canonical texts are equal, which is exactly when the probe's exact
+/// comparison would accept them; label-invariant structure hashing would
+/// buy nothing on top of that comparison.
+pub fn text_hash(canon: &str) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_word(canon.len() as u64);
+    h.write(canon.as_bytes());
+    h.finish()
 }
 
 /// Full identity of a cached result: bucket hash, exact canonical text,
 /// and the solve signature (command + normalized flags).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheKey {
-    /// Structural refinement hash — selects the bucket, never trusted alone.
+    /// [`text_hash`] of `canon` — selects the bucket, never trusted alone.
     pub hash: u64,
     /// The instance re-serialized by the workspace writers; exact-equality
     /// verified on every probe.
@@ -221,7 +173,7 @@ mod tests {
     use ghd_hypergraph::io;
 
     fn key(tag: &str) -> CacheKey {
-        CacheKey { hash: fx_hash_words(&[tag.len() as u64]), canon: tag.to_string(), signature: "tw".into() }
+        CacheKey { hash: text_hash(tag), canon: tag.to_string(), signature: "tw".into() }
     }
 
     fn val(body: &str) -> CachedDecomp {
@@ -232,8 +184,8 @@ mod tests {
     fn probe_verifies_exact_text_not_just_hash() {
         let mut cache = DecompCache::new(1 << 16);
         let mut a = key("p edge 3 2");
-        let mut b = key("p edge 3 3"); // same length → same bucket hash here
-        b.hash = a.hash;
+        let mut b = key("p edge 3 3");
+        b.hash = a.hash; // force a bucket collision
         assert!(cache.admit(a.clone(), val("width = 1")));
         assert!(cache.probe(&a).is_some());
         assert!(cache.probe(&b).is_none(), "hash collision must not alias entries");
@@ -264,19 +216,24 @@ mod tests {
     }
 
     #[test]
-    fn refinement_hash_is_parse_invariant_but_structure_sensitive() {
-        let a = io::parse_hypergraph("e1(a,b,c)\ne2(c,d)\n").unwrap();
-        let b = io::parse_hypergraph("% comment\n e1 ( a , b , c )\n\ne2(c,d)\n").unwrap();
-        let c = io::parse_hypergraph("e1(a,b,c)\ne2(c,d)\ne3(d,a)\n").unwrap();
-        assert_eq!(hypergraph_hash(&a), hypergraph_hash(&b));
-        assert_ne!(hypergraph_hash(&a), hypergraph_hash(&c));
-        assert_eq!(io::write_hypergraph(&a), io::write_hypergraph(&b));
+    fn text_hash_follows_the_canonical_text() {
+        let a = io::write_hypergraph(&io::parse_hypergraph("e1(a,b,c)\ne2(c,d)\n").unwrap());
+        let b = io::write_hypergraph(
+            &io::parse_hypergraph("% comment\n e1 ( a , b , c )\n\ne2(c,d)\n").unwrap(),
+        );
+        let c = io::write_hypergraph(&io::parse_hypergraph("e1(a,b,c)\ne2(c,d)\ne3(d,a)\n").unwrap());
+        assert_eq!(a, b, "comments and layout never reach the canonical text");
+        assert_eq!(text_hash(&a), text_hash(&b));
+        assert_ne!(text_hash(&a), text_hash(&c));
 
-        let g1 = io::parse_dimacs("p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n").unwrap();
-        let g2 = io::parse_dimacs("c path\np edge 4 3\ne 3 4\ne 1 2\ne 2 3\n").unwrap();
-        let g3 = io::parse_dimacs("p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n").unwrap();
-        assert_eq!(graph_hash(&g1), graph_hash(&g2));
-        assert_ne!(graph_hash(&g1), graph_hash(&g3));
-        assert_eq!(io::write_dimacs(&g1), io::write_dimacs(&g2));
+        let g1 = io::write_dimacs(&io::parse_dimacs("p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n").unwrap());
+        let g2 = io::write_dimacs(&io::parse_dimacs("c path\np edge 4 3\ne 3 4\ne 1 2\ne 2 3\n").unwrap());
+        let g3 = io::write_dimacs(&io::parse_dimacs("p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n").unwrap());
+        assert_eq!(g1, g2);
+        assert_eq!(text_hash(&g1), text_hash(&g2));
+        assert_ne!(text_hash(&g1), text_hash(&g3));
+        // the length word keeps zero-padded tails apart
+        assert_ne!(text_hash("a"), text_hash("a\0"));
+        assert_ne!(text_hash(""), text_hash("\0"));
     }
 }

@@ -15,7 +15,7 @@
 //! │ 1 byte  │ u32 LE        │ u32 LE        │                         │
 //! └─────────┴───────────────┴───────────────┴─────────────────────────┘
 //! payload:
-//!   hash      u64 LE   — the key's structural refinement hash
+//!   hash      u64 LE   — the key's bucket hash, `text_hash(canon)`
 //!   width     u64 LE   — the certified width the body reports
 //!   canon_len u32 LE ┐
 //!   sig_len   u32 LE ├ byte lengths of the three strings
@@ -46,12 +46,15 @@
 //! A checksum proves the bytes survived the disk, not that they are a
 //! valid cache entry for *this* solver. [`CacheLog::open`] therefore runs
 //! every structurally sound record through a caller-supplied `verify`
-//! callback — the daemon re-derives the canonical text and refinement
-//! hash from the record's own `canon` field, the same
+//! callback — the daemon re-derives the canonical text and its
+//! [`text_hash`](super::text_hash) from the record's own `canon` field, the same
 //! hash-bucket-then-exact-equality discipline the in-memory probe uses —
 //! and counts rejects instead of admitting them. A rejected record is
 //! *not* treated as corruption: it stays in the file (it may belong to a
-//! different build) and replay continues past it.
+//! different build) and replay continues past it. That is how a change of
+//! the bucket hash is absorbed without a new [`FORMAT_VERSION`]: records
+//! written under the old hash fail verification and their instances are
+//! solved again, whereas an unknown version byte would truncate the log.
 
 use super::{CacheKey, CachedDecomp};
 use std::fs::OpenOptions;

@@ -245,13 +245,25 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // copy the run of plain bytes up to the next quote or escape in
+            // one go; both delimiters are ASCII, so the run ends on a char
+            // boundary of the (UTF-8) input
+            let rest = &self.bytes[self.pos..];
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            if run > 0 {
+                let plain = std::str::from_utf8(&rest[..run])
+                    .map_err(|_| self.err("invalid UTF-8 in string"))?;
+                out.push_str(plain);
+                self.pos += run;
+            }
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                // the run stopped at a backslash
+                Some(_) => {
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
                     self.pos += 1;
@@ -282,23 +294,6 @@ impl Parser<'_> {
                         }
                         _ => return Err(self.err("unknown escape")),
                     }
-                }
-                Some(c) => {
-                    // consume one UTF-8 code point
-                    let start = self.pos;
-                    let len = match c {
-                        0x00..=0x7F => 1,
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    self.pos += len;
-                    let s = self
-                        .bytes
-                        .get(start..start + len)
-                        .and_then(|b| std::str::from_utf8(b).ok())
-                        .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(s);
                 }
             }
         }
@@ -338,20 +333,33 @@ impl Parser<'_> {
 }
 
 /// Escapes a string for embedding in emitted JSON (the writer-side helper
-/// the table binaries share).
+/// the table binaries share). Each run of bytes that needs no escape is
+/// copied with one `push_str`; every byte that does need one is ASCII, so
+/// runs always end on char boundaries.
 pub fn escape(s: &str) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xF)]));
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out
 }
 
@@ -428,6 +436,88 @@ mod tests {
         let doc = format!("{{\"k\": \"{}\"}}", escape(s));
         let v = Json::parse(&doc).unwrap();
         assert_eq!(v.get("k").and_then(Json::as_str), Some(s));
+    }
+
+    /// The char-by-char `escape` the run-copying one replaced, kept as the
+    /// oracle for byte-identical output.
+    fn escape_per_char(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// A seeded string mixing plain ASCII, quotes, backslashes, every
+    /// control byte, 2/3/4-byte UTF-8 and literal `\uXXXX` text.
+    fn random_text(rng: &mut ghd_prng::Xoshiro256PlusPlus) -> String {
+        use ghd_prng::RngExt;
+        const PIECES: &[&str] =
+            &["\"", "\\", "\\u0041", "\\n", "/", "é", "ß", "€", "✓", "\u{a0}", "𝄞", "😀", "\u{7f}"];
+        let len = rng.random_range(0..40usize);
+        let mut s = String::new();
+        for _ in 0..len {
+            match rng.random_range(0..4u32) {
+                0 => s.push(char::from(rng.random_range(0..0x20u8))),
+                1 => s.push_str(PIECES[rng.random_range(0..PIECES.len())]),
+                _ => s.push(char::from(rng.random_range(0x20..0x7fu8))),
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn escape_matches_the_per_char_oracle_and_round_trips() {
+        let mut rng = ghd_prng::Xoshiro256PlusPlus::seed_from_u64(0x1507);
+        let mut every_control = String::new();
+        for b in 0..0x20u8 {
+            every_control.push(char::from(b));
+        }
+        let fixed = ["", "plain", "\"\\", every_control.as_str(), "a\u{0}b", "ü\"ü"];
+        let random: Vec<String> = (0..2000).map(|_| random_text(&mut rng)).collect();
+        for s in fixed.iter().copied().chain(random.iter().map(String::as_str)) {
+            let escaped = escape(s);
+            assert_eq!(escaped, escape_per_char(s), "escape drifted on {s:?}");
+            let back = Json::parse(&format!("\"{escaped}\"")).unwrap();
+            assert_eq!(back.as_str(), Some(s), "round trip of {s:?}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_decode_between_plain_runs() {
+        let mut rng = ghd_prng::Xoshiro256PlusPlus::seed_from_u64(0xE5C);
+        for _ in 0..500 {
+            use ghd_prng::RngExt;
+            // a literal alternating plain runs with \uXXXX escapes of
+            // random non-surrogate BMP code points
+            let (mut literal, mut expect) = (String::from("\""), String::new());
+            for _ in 0..rng.random_range(0..8usize) {
+                let plain = random_text(&mut rng);
+                literal.push_str(&escape(&plain));
+                expect.push_str(&plain);
+                let c = loop {
+                    if let Some(c) = char::from_u32(rng.random_range(0..0x1_0000u32)) {
+                        break c;
+                    }
+                };
+                literal.push_str(&format!("\\u{:04X}", c as u32));
+                expect.push(c);
+            }
+            literal.push('"');
+            assert_eq!(Json::parse(&literal).unwrap().as_str(), Some(expect.as_str()), "{literal:?}");
+        }
+        // offsets of string errors are where the scan stopped
+        assert_eq!(Json::parse("\"abc").unwrap_err().offset, 4);
+        assert_eq!(Json::parse("\"ab\\q\"").unwrap_err().message, "unknown escape");
+        assert_eq!(Json::parse("\"ab\\u12\"").unwrap_err().message, "bad \\u escape");
     }
 
     #[test]

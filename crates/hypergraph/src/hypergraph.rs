@@ -109,6 +109,17 @@ impl Hypergraph {
         vertices: E,
     ) -> Result<usize, HypergraphError> {
         let idx = self.edges.len();
+        self.push_edge(format!("e{idx}"), vertices)
+    }
+
+    /// Appends hyperedge `name` over `vertices` (checked; on `Err` the
+    /// hypergraph is unchanged).
+    fn push_edge<E: IntoIterator<Item = usize>>(
+        &mut self,
+        name: String,
+        vertices: E,
+    ) -> Result<usize, HypergraphError> {
+        let idx = self.edges.len();
         let mut set = BitSet::new(self.n);
         for v in vertices {
             if v >= self.n {
@@ -120,8 +131,33 @@ impl Hypergraph {
             self.incidence[v].push(idx);
         }
         self.edges.push(set);
-        self.edge_names.push(format!("e{idx}"));
+        self.edge_names.push(name);
         Ok(idx)
+    }
+
+    /// Checked construction from named parts, for parsers: one vertex per
+    /// entry of `vertex_names` (in index order) and one hyperedge per
+    /// `(name, vertices)` pair. Builds no placeholder names.
+    pub fn try_from_named_edges<I, E>(
+        vertex_names: Vec<String>,
+        edges: I,
+    ) -> Result<Self, HypergraphError>
+    where
+        I: IntoIterator<Item = (String, E)>,
+        E: IntoIterator<Item = usize>,
+    {
+        let n = vertex_names.len();
+        let mut h = Hypergraph {
+            n,
+            vertex_names,
+            edges: Vec::new(),
+            edge_names: Vec::new(),
+            incidence: vec![Vec::new(); n],
+        };
+        for (name, vertices) in edges {
+            h.push_edge(name, vertices)?;
+        }
+        Ok(h)
     }
 
     /// Checked [`Hypergraph::from_edges`] for untrusted edge lists.
@@ -154,9 +190,7 @@ impl Hypergraph {
         name: impl Into<String>,
         vertices: E,
     ) -> Result<usize, HypergraphError> {
-        let idx = self.try_add_edge(vertices)?;
-        self.edge_names[idx] = name.into();
-        Ok(idx)
+        self.push_edge(name.into(), vertices)
     }
 
     /// Renames vertex `v`.
@@ -396,5 +430,23 @@ mod tests {
         assert!(Hypergraph::try_from_edges(2, [vec![0usize, 1], vec![2]]).is_err());
         let err = HypergraphError::VertexOutOfRange { vertex: 7, n: 3 };
         assert!(err.to_string().contains("7"));
+    }
+
+    #[test]
+    fn try_from_named_edges_keeps_the_given_names() {
+        let names = vec!["x".to_string(), "y".to_string(), "z".to_string()];
+        let h = Hypergraph::try_from_named_edges(
+            names.clone(),
+            [("A".to_string(), vec![0, 2, 0]), ("B".to_string(), vec![1])],
+        )
+        .unwrap();
+        assert_eq!((h.num_vertices(), h.num_edges()), (3, 2));
+        assert_eq!((h.vertex_name(2), h.edge_name(0), h.edge_name(1)), ("z", "A", "B"));
+        assert_eq!(h.edge(0).to_vec(), vec![0, 2]);
+        assert_eq!(h.edges_containing(0), &[0]);
+        assert_eq!(
+            Hypergraph::try_from_named_edges(names, [("A".to_string(), vec![3])]).unwrap_err(),
+            HypergraphError::VertexOutOfRange { vertex: 3, n: 3 }
+        );
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::graph::Graph;
 use crate::hypergraph::Hypergraph;
-use std::collections::HashMap;
+use ghd_prng::hash::FxHashMap;
 use std::fmt::Write as _;
 
 /// An error produced while parsing a benchmark file.
@@ -179,9 +179,102 @@ pub fn write_pace_gr(g: &Graph) -> String {
 /// `edgename(v1,v2,...)` atoms, optionally terminated by `.`; `%` or `#`
 /// start comments. Vertex names are arbitrary identifiers and are assigned
 /// indices in order of first appearance.
+///
+/// One left-to-right scan tokenises the text; names are borrowed slices
+/// of it, interned by content. Only an input holding a comment or a
+/// carriage return is first rewritten line by line (comments cut, CRLF
+/// folded to LF), since names may span lines and must not keep either.
 pub fn parse_hypergraph(input: &str) -> Result<Hypergraph, ParseError> {
-    // Strip comments line by line, then tokenize the rest as one stream.
-    let mut text = String::new();
+    let stripped;
+    let text = if input.bytes().any(|b| matches!(b, b'%' | b'#' | b'\r')) {
+        stripped = strip_comments(input);
+        stripped.as_str()
+    } else {
+        input
+    };
+    let bytes = text.as_bytes();
+
+    let mut vertex_ids: FxHashMap<&str, usize> = FxHashMap::default();
+    let mut vertex_names: Vec<&str> = Vec::new();
+    // (edge name, end of its vertex ids in `members`), in input order
+    let mut edges: Vec<(&str, usize)> = Vec::new();
+    let mut members: Vec<usize> = Vec::new();
+
+    let mut pos = 0;
+    while pos < bytes.len() {
+        // separators between atoms: whitespace, `,` and `.`
+        let c = match bytes[pos] {
+            b if b.is_ascii() => b as char,
+            _ => text[pos..].chars().next().expect("pos is a char boundary"),
+        };
+        if c.is_whitespace() || c == ',' || c == '.' {
+            pos += c.len_utf8();
+            continue;
+        }
+        // edge name up to `(`; a `)` or `,` before it is an error
+        let start = pos;
+        let open = match bytes[start..].iter().position(|&b| matches!(b, b'(' | b')' | b',')) {
+            Some(off) if bytes[start + off] == b'(' => start + off,
+            Some(_) => return Err(err(0, "expected `(` after edge name")),
+            None => bytes.len(),
+        };
+        let name = text[start..open].trim();
+        if name.is_empty() {
+            return Err(err(0, "empty edge name"));
+        }
+        if open == bytes.len() {
+            return Err(err(0, format!("unterminated edge `{name}`")));
+        }
+        // vertices up to `)`; a trailing empty vertex (`e(a,)`) is dropped
+        let first = members.len();
+        let mut vstart = open + 1;
+        loop {
+            let Some(off) = bytes[vstart..].iter().position(|&b| b == b',' || b == b')') else {
+                return Err(err(0, format!("unterminated edge `{name}`")));
+            };
+            let end = vstart + off;
+            let v = text[vstart..end].trim();
+            let closing = bytes[end] == b')';
+            if v.is_empty() && !closing {
+                return Err(err(0, format!("empty vertex in edge `{name}`")));
+            }
+            if !v.is_empty() {
+                let next = vertex_ids.len();
+                let id = *vertex_ids.entry(v).or_insert(next);
+                if id == next {
+                    vertex_names.push(v);
+                }
+                members.push(id);
+            }
+            vstart = end + 1;
+            if closing {
+                break;
+            }
+        }
+        if members.len() == first {
+            return Err(err(0, format!("edge `{name}` has no vertices")));
+        }
+        edges.push((name, members.len()));
+        pos = vstart;
+    }
+
+    let vertex_names = vertex_names.into_iter().map(str::to_string).collect();
+    let mut from = 0;
+    let edges = edges.into_iter().map(|(name, to)| {
+        let ids = members[from..to].iter().copied();
+        from = to;
+        (name.to_string(), ids)
+    });
+    // ids are dense by construction, but this is the untrusted path: the
+    // checked builder turns an internal inconsistency into Err, never a
+    // panic
+    Hypergraph::try_from_named_edges(vertex_names, edges).map_err(|e| err(0, e.to_string()))
+}
+
+/// The input with every `%`/`#` comment cut and every line ended by a
+/// single `\n` (so CRLF input reads like LF input).
+fn strip_comments(input: &str) -> String {
+    let mut text = String::with_capacity(input.len() + 1);
     for line in input.lines() {
         let line = match line.find(['%', '#']) {
             Some(p) => &line[..p],
@@ -190,94 +283,7 @@ pub fn parse_hypergraph(input: &str) -> Result<Hypergraph, ParseError> {
         text.push_str(line);
         text.push('\n');
     }
-
-    let mut vertex_ids: HashMap<String, usize> = HashMap::new();
-    let mut edges: Vec<(String, Vec<usize>)> = Vec::new();
-
-    let mut chars = text.char_indices().peekable();
-    let bytes = &text;
-    while let Some(&(start, c)) = chars.peek() {
-        if c.is_whitespace() || c == ',' || c == '.' {
-            chars.next();
-            continue;
-        }
-        // read edge name up to '(' (lazy lookahead: no per-atom collect,
-        // so adversarial inputs cannot make this quadratic)
-        let mut name_end = start;
-        for (i, ch) in chars.clone() {
-            if ch == '(' {
-                name_end = i;
-                break;
-            }
-            if ch == ')' || ch == ',' {
-                return Err(err(0, "expected `(` after edge name"));
-            }
-            name_end = i + ch.len_utf8();
-        }
-        let name = bytes[start..name_end].trim().to_string();
-        if name.is_empty() {
-            return Err(err(0, "empty edge name"));
-        }
-        // advance past name and '('
-        while let Some(&(_, ch)) = chars.peek() {
-            chars.next();
-            if ch == '(' {
-                break;
-            }
-        }
-        // read vertices up to ')'
-        let mut vs = Vec::new();
-        let mut cur = String::new();
-        let mut closed = false;
-        for (_, ch) in chars.by_ref() {
-            match ch {
-                ')' => {
-                    closed = true;
-                    break;
-                }
-                ',' => {
-                    let v = cur.trim().to_string();
-                    if v.is_empty() {
-                        return Err(err(0, format!("empty vertex in edge `{name}`")));
-                    }
-                    vs.push(v);
-                    cur.clear();
-                }
-                _ => cur.push(ch),
-            }
-        }
-        if !closed {
-            return Err(err(0, format!("unterminated edge `{name}`")));
-        }
-        let last = cur.trim().to_string();
-        if !last.is_empty() {
-            vs.push(last);
-        }
-        if vs.is_empty() {
-            return Err(err(0, format!("edge `{name}` has no vertices")));
-        }
-        let mut ids = Vec::with_capacity(vs.len());
-        for v in vs {
-            let next = vertex_ids.len();
-            ids.push(*vertex_ids.entry(v).or_insert(next));
-        }
-        edges.push((name, ids));
-    }
-
-    let mut h = Hypergraph::new(vertex_ids.len());
-    let mut names: Vec<(String, usize)> = vertex_ids.into_iter().collect();
-    names.sort_by_key(|&(_, id)| id);
-    for (name, id) in names {
-        h.set_vertex_name(id, name);
-    }
-    for (name, ids) in edges {
-        // ids are dense by construction, but this is the untrusted path:
-        // route through the checked builder so an internal inconsistency
-        // surfaces as Err, never a panic
-        h.try_add_named_edge(name, ids)
-            .map_err(|e| err(0, e.to_string()))?;
-    }
-    Ok(h)
+    text
 }
 
 /// Serialises a hypergraph in the CSP hypergraph library format.
@@ -287,8 +293,15 @@ pub fn write_hypergraph(h: &Hypergraph) -> String {
         if e > 0 {
             out.push_str(",\n");
         }
-        let vars: Vec<&str> = h.edge(e).iter().map(|v| h.vertex_name(v)).collect();
-        let _ = write!(out, "{}({})", h.edge_name(e), vars.join(","));
+        out.push_str(h.edge_name(e));
+        out.push('(');
+        for (i, v) in h.edge(e).iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(h.vertex_name(v));
+        }
+        out.push(')');
     }
     out.push_str(".\n");
     out

@@ -572,25 +572,28 @@ fn dispatch(text: &str, shared: &Arc<Shared>, tx: &SyncSender<Job>) -> Response 
         Ok(r) => r,
         Err(e) => {
             let resp = Response::fail(None, 64, format!("bad request: {e}"));
-            access_log(&Request::control(None, "<unparseable>"), &resp);
+            access_log(None, "<unparseable>", &resp);
             return resp;
         }
     };
     shared.stats.lock().unwrap_or_else(|p| p.into_inner()).requests += 1;
-    let resp = match req.cmd.as_str() {
-        "ping" => Response::ok_body(req.id, "pong"),
+    // a queued solve takes the request (and its instance text) with it;
+    // the access log and the in-flight registry need only these two
+    let (id, cmd) = (req.id, req.cmd.clone());
+    let resp = match cmd.as_str() {
+        "ping" => Response::ok_body(id, "pong"),
         "shutdown" => {
             shared.draining.store(true, Ordering::Release);
-            Response::ok_body(req.id, "draining")
+            Response::ok_body(id, "draining")
         }
         "cancel" => match req.target {
-            None => Response::fail(req.id, 64, "cancel requires a `target` request id"),
+            None => Response::fail(id, 64, "cancel requires a `target` request id"),
             Some(target) => {
                 let flipped = shared.cancel_inflight(target);
                 if flipped == 0 {
-                    Response::fail(req.id, 69, format!("no in-flight request with id {target}"))
+                    Response::fail(id, 69, format!("no in-flight request with id {target}"))
                 } else {
-                    Response::ok_body(req.id, format!("cancelling {flipped} in-flight solve(s)"))
+                    Response::ok_body(id, format!("cancelling {flipped} in-flight solve(s)"))
                 }
             }
         },
@@ -600,15 +603,14 @@ fn dispatch(text: &str, shared: &Arc<Shared>, tx: &SyncSender<Job>) -> Response 
                 let cache = shared.cache.lock().unwrap_or_else(|p| p.into_inner());
                 (cache.stats(), cache.bytes())
             };
-            Response::ok_body(req.id, render_stats(&stats, &cache_stats, cache_bytes, shared.workers))
+            Response::ok_body(id, render_stats(&stats, &cache_stats, cache_bytes, shared.workers))
         }
         "tw" | "ghw" => {
             if shared.draining.load(Ordering::Acquire) {
-                let resp = Response::fail(req.id, 503, "draining");
-                access_log(&req, &resp);
+                let resp = Response::fail(id, 503, "draining");
+                access_log(id, &cmd, &resp);
                 return resp;
             }
-            let id = req.id;
             let (reply_tx, reply_rx) = std::sync::mpsc::channel();
             let cancel: CancelFlag = Arc::new(AtomicBool::new(false));
             // register for the `cancel` verb before the job can run; ids
@@ -621,8 +623,7 @@ fn dispatch(text: &str, shared: &Arc<Shared>, tx: &SyncSender<Job>) -> Response 
                     .push((rid, Arc::clone(&cancel)));
             }
             shared.outstanding.fetch_add(1, Ordering::AcqRel);
-            let job =
-                Job { req: req.clone(), reply: reply_tx, cancel: Arc::clone(&cancel), enqueued: Instant::now() };
+            let job = Job { req, reply: reply_tx, cancel: Arc::clone(&cancel), enqueued: Instant::now() };
             let resp = match tx.try_send(job) {
                 Ok(()) => reply_rx
                     .recv()
@@ -643,16 +644,16 @@ fn dispatch(text: &str, shared: &Arc<Shared>, tx: &SyncSender<Job>) -> Response 
             }
             resp
         }
-        other => Response::fail(req.id, 64, format!("unknown command `{other}`")),
+        other => Response::fail(id, 64, format!("unknown command `{other}`")),
     };
-    access_log(&req, &resp);
+    access_log(id, &cmd, &resp);
     resp
 }
 
 /// One structured line per request on stderr: correlation id, verb, cache
 /// disposition, queue/solve timings, and the outcome class.
-fn access_log(req: &Request, resp: &Response) {
-    let id = req.id.map_or_else(|| "-".into(), |i| i.to_string());
+fn access_log(id: Option<u64>, cmd: &str, resp: &Response) {
+    let id = id.map_or_else(|| "-".into(), |i| i.to_string());
     let cache = match resp.cache_hit {
         Some(true) => "hit",
         Some(false) => "miss",
@@ -672,8 +673,7 @@ fn access_log(req: &Request, resp: &Response) {
         }
     };
     eprintln!(
-        "ghd-serve: access id={id} verb={} cache={cache} queue_wait_s={} wall_s={} outcome={outcome}",
-        req.cmd,
+        "ghd-serve: access id={id} verb={cmd} cache={cache} queue_wait_s={} wall_s={} outcome={outcome}",
         fmt_s(resp.queue_wait_s),
         fmt_s(resp.wall_s),
     );
