@@ -1,7 +1,8 @@
 //! Micro-benchmarks over the workspace's hot operations: the
 //! eliminate/restore machinery (§5.2.1), ordering evaluation (Figs 6.2 and
 //! 7.1), set covering (plain and memoized), the lower-bound heuristics and
-//! the GA operators.
+//! the GA operators; the root bounds also on ~1000-vertex circuit primal
+//! graphs.
 //!
 //! Driven by the dependency-free median-of-N harness in
 //! `ghd_bench::timer` (the offline build has no criterion). Pass a
@@ -10,6 +11,7 @@
 use ghd_bench::timer::Harness;
 use ghd_bounds::lower::{degeneracy, minor_gamma_r, minor_min_width};
 use ghd_bounds::upper::min_fill_ordering;
+use ghd_bounds::{ghw_lower_bound, ghw_upper_bound};
 use ghd_core::bucket::{bucket_elimination, vertex_elimination};
 use ghd_core::eval::{GhwEvaluator, TwEvaluator};
 use ghd_core::setcover::{exact_cover, greedy_cover, CoverCache};
@@ -101,6 +103,34 @@ fn bench_upper_bounds(hn: &mut Harness) {
     });
 }
 
+/// The root bounds on the primal graphs of `adder 200` (1001 vertices) and
+/// `bridge 100` (902 vertices): sparse instances of about a thousand
+/// vertices, the size at which the exact searches' root passes set the
+/// cost of a whole solve.
+fn bench_root_bounds_at_scale(hn: &mut Harness) {
+    for (name, h) in [
+        ("adder_200", hypergraphs::adder(200)),
+        ("bridge_100", hypergraphs::bridge(100)),
+    ] {
+        let g = h.primal_graph();
+        hn.bench(&format!("lb/minor_min_width/{name}"), || {
+            black_box(minor_min_width::<StdRng>(black_box(&g), None));
+        });
+        hn.bench(&format!("lb/minor_gamma_r/{name}"), || {
+            black_box(minor_gamma_r::<StdRng>(black_box(&g), None));
+        });
+        hn.bench(&format!("ub/min_fill/{name}"), || {
+            black_box(min_fill_ordering::<StdRng>(black_box(&g), None));
+        });
+        hn.bench(&format!("lb/ghw_lower_bound/{name}"), || {
+            black_box(ghw_lower_bound::<StdRng>(black_box(&h), None));
+        });
+        hn.bench(&format!("ub/ghw_upper_bound/{name}"), || {
+            black_box(ghw_upper_bound::<StdRng>(black_box(&h), None));
+        });
+    }
+}
+
 fn bench_ga_operators(hn: &mut Harness) {
     let mut rng = StdRng::seed_from_u64(5);
     let p1: Vec<usize> = (0..200).collect();
@@ -174,6 +204,7 @@ fn main() {
     bench_set_cover(&mut hn);
     bench_lower_bounds(&mut hn);
     bench_upper_bounds(&mut hn);
+    bench_root_bounds_at_scale(&mut hn);
     bench_ga_operators(&mut hn);
     bench_csp_joins(&mut hn);
     bench_preprocess_and_adaptive(&mut hn);

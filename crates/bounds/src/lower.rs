@@ -11,12 +11,21 @@ use ghd_prng::{Rng, RngExt};
 /// Reusable buffers for the minor-based lower bounds, so that per-node
 /// heuristic calls inside the exact searches allocate nothing in the steady
 /// state. One scratch serves any number of consecutive bound computations.
+///
+/// `deg[v]` caches `adj[v].len()` for every loaded vertex: it is set once
+/// per load and kept exact by [`contract_into`], so no degree read ever
+/// popcounts a row.
 #[derive(Default)]
 pub struct LbScratch {
     adj: Vec<BitSet>,
+    deg: Vec<usize>,
     alive: Vec<usize>,
     tied: Vec<usize>,
     seq: Vec<usize>,
+    /// Per-degree counters of γ_R's counting sort.
+    counts: Vec<usize>,
+    /// The already-scanned prefix of γ_R's degree order.
+    prefix: BitSet,
 }
 
 impl LbScratch {
@@ -24,14 +33,22 @@ impl LbScratch {
         Self::default()
     }
 
+    /// Makes room for `n` rows and sizes the prefix set for them.
+    fn prepare(&mut self, n: usize) {
+        if self.adj.len() < n {
+            self.adj.resize_with(n, BitSet::default);
+            self.deg.resize(n, 0);
+        }
+        self.prefix.reset(n);
+    }
+
     /// Loads the contraction rows from a static graph.
     fn load_graph(&mut self, g: &Graph) {
         let n = g.num_vertices();
-        if self.adj.len() < n {
-            self.adj.resize_with(n, BitSet::default);
-        }
+        self.prepare(n);
         for v in 0..n {
             self.adj[v].copy_from(g.neighbors(v));
+            self.deg[v] = g.degree(v);
         }
         self.alive.clear();
         self.alive.extend(0..n);
@@ -42,60 +59,87 @@ impl LbScratch {
     /// isolated but stay in the alive list — without materialising the graph.
     fn load_elim(&mut self, eg: &EliminationGraph) {
         let n = eg.num_vertices();
-        if self.adj.len() < n {
-            self.adj.resize_with(n, BitSet::default);
-        }
+        self.prepare(n);
         for v in 0..n {
             self.adj[v].reset(n);
+            self.deg[v] = 0;
         }
         for u in eg.alive().iter() {
             self.adj[u].copy_from(eg.neighbors(u));
+            self.deg[u] = eg.degree(u);
         }
         self.alive.clear();
         self.alive.extend(0..n);
     }
 }
 
-/// Contracts the edge `(v, u)` into `u` and removes `v`.
-fn contract_into(adj: &mut [BitSet], alive: &mut Vec<usize>, v: usize, u: usize) {
+/// Contracts the edge `(v, u)` into `u` and removes `v`, keeping `deg`
+/// exact from the membership changes `insert`/`remove` report.
+fn contract_into(adj: &mut [BitSet], deg: &mut [usize], alive: &mut Vec<usize>, v: usize, u: usize) {
     let nv = std::mem::take(&mut adj[v]);
     for w in nv.iter() {
-        adj[w].remove(v);
+        deg[w] -= usize::from(adj[w].remove(v));
         if w != u {
-            adj[w].insert(u);
-            adj[u].insert(w);
+            deg[w] += usize::from(adj[w].insert(u));
+            deg[u] += usize::from(adj[u].insert(w));
         }
     }
     adj[v] = nv;
     adj[v].clear();
-    adj[u].remove(u);
+    deg[v] = 0;
+    deg[u] -= usize::from(adj[u].remove(u));
     alive.retain(|&x| x != v);
 }
 
-fn pick_tied<R: Rng + ?Sized>(tied: &[usize], rng: &mut Option<&mut R>) -> usize {
+/// Picks one of `tied`: the first, or a uniformly random one when `rng` is
+/// given.
+pub(crate) fn pick_tied<R: Rng + ?Sized>(tied: &[usize], rng: &mut Option<&mut R>) -> usize {
     match rng {
         Some(r) => tied[r.random_range(0..tied.len())],
         None => tied[0],
     }
 }
 
+/// Picks a minimum-degree neighbour of `v` (ties in ascending vertex order,
+/// broken by `rng` when given) — the contraction partner of both minor
+/// bounds.
+fn min_degree_neighbour<R: Rng + ?Sized>(
+    adj: &[BitSet],
+    deg: &[usize],
+    tied: &mut Vec<usize>,
+    v: usize,
+    rng: &mut Option<&mut R>,
+) -> usize {
+    let min_nb_deg = adj[v].iter().map(|u| deg[u]).min().expect("nonempty");
+    tied.clear();
+    tied.extend(adj[v].iter().filter(|&u| deg[u] == min_nb_deg));
+    pick_tied(tied, rng)
+}
+
 /// The degeneracy / maximum-minimum-degree (MMD) lower bound: repeatedly
 /// delete a minimum-degree vertex; the maximum such degree lower-bounds the
 /// treewidth.
+///
+/// Deletion only lowers the degrees of the deleted vertex's live
+/// neighbours, so the rows of `g` are read, never copied.
 pub fn degeneracy(g: &Graph) -> usize {
-    let mut adj: Vec<BitSet> = (0..g.num_vertices()).map(|v| g.neighbors(v).clone()).collect();
-    let mut alive: Vec<usize> = (0..g.num_vertices()).collect();
+    let n = g.num_vertices();
+    let mut deg: Vec<usize> = (0..n).map(|v| g.degree(v)).collect();
+    let mut deleted = vec![false; n];
+    let mut alive: Vec<usize> = (0..n).collect();
     let mut lb = 0;
     while !alive.is_empty() {
         let (idx, &v) = alive
             .iter()
             .enumerate()
-            .min_by_key(|(_, &v)| adj[v].len())
+            .min_by_key(|(_, &v)| deg[v])
             .expect("nonempty");
-        lb = lb.max(adj[v].len());
-        let nv = std::mem::take(&mut adj[v]);
-        for w in nv.iter() {
-            adj[w].remove(v);
+        lb = lb.max(deg[v]);
+        deleted[v] = true;
+        for w in g.neighbors(v).iter() {
+            if !deleted[w] {
+                deg[w] -= 1;
+            }
         }
         alive.swap_remove(idx);
     }
@@ -113,26 +157,23 @@ pub fn minor_min_width<R: Rng + ?Sized>(g: &Graph, rng: Option<&mut R>) -> usize
 }
 
 fn mmw_core<R: Rng + ?Sized>(scratch: &mut LbScratch, mut rng: Option<&mut R>) -> usize {
-    let LbScratch { adj, alive, tied, .. } = scratch;
+    let LbScratch { adj, deg, alive, tied, .. } = scratch;
     let mut lb = 0;
     while !alive.is_empty() {
         // (a) minimum-degree vertex v
-        let min_deg = alive.iter().map(|&v| adj[v].len()).min().expect("nonempty");
+        let min_deg = alive.iter().map(|&v| deg[v]).min().expect("nonempty");
         tied.clear();
-        tied.extend(alive.iter().copied().filter(|&v| adj[v].len() == min_deg));
+        tied.extend(alive.iter().copied().filter(|&v| deg[v] == min_deg));
         let v = pick_tied(tied, &mut rng);
         // (b) record degree
-        lb = lb.max(adj[v].len());
+        lb = lb.max(min_deg);
         // (a cont.) contract with minimum-degree neighbour
-        if adj[v].is_empty() {
+        if min_deg == 0 {
             alive.retain(|&x| x != v);
             continue;
         }
-        let min_nb_deg = adj[v].iter().map(|u| adj[u].len()).min().expect("nonempty");
-        tied.clear();
-        tied.extend(adj[v].iter().filter(|&u| adj[u].len() == min_nb_deg));
-        let u = pick_tied(tied, &mut rng);
-        contract_into(adj, alive, v, u);
+        let u = min_degree_neighbour(adj, deg, tied, v, &mut rng);
+        contract_into(adj, deg, alive, v, u);
     }
     lb
 }
@@ -150,22 +191,37 @@ pub fn minor_gamma_r<R: Rng + ?Sized>(g: &Graph, rng: Option<&mut R>) -> usize {
 }
 
 fn gamma_r_core<R: Rng + ?Sized>(scratch: &mut LbScratch, mut rng: Option<&mut R>) -> usize {
-    let LbScratch { adj, alive, tied, seq } = scratch;
+    let LbScratch { adj, deg, alive, tied, seq, counts, prefix } = scratch;
     let mut lb = 0;
     while !alive.is_empty() {
-        // (a) sort by degree ascending
+        // (a) order by degree ascending: a stable counting sort, so equal
+        // degrees keep their `alive` order
+        let max_deg = alive.iter().map(|&v| deg[v]).max().expect("nonempty");
+        counts.clear();
+        counts.resize(max_deg + 2, 0);
+        for &v in alive.iter() {
+            counts[deg[v] + 1] += 1;
+        }
+        for d in 1..counts.len() {
+            counts[d] += counts[d - 1];
+        }
         seq.clear();
-        seq.extend_from_slice(alive);
-        seq.sort_by_key(|&v| adj[v].len());
-        // (b) first vertex with a non-neighbour predecessor
+        seq.resize(alive.len(), 0);
+        for &v in alive.iter() {
+            seq[counts[deg[v]]] = v;
+            counts[deg[v]] += 1;
+        }
+        // (b) first vertex with a non-neighbour predecessor, i.e. whose
+        // predecessors are not all in its row (more than deg(v) of them
+        // cannot be)
+        prefix.clear();
         let mut found = None;
-        'outer: for (i, &v) in seq.iter().enumerate() {
-            for &p in &seq[..i] {
-                if !adj[v].contains(p) {
-                    found = Some(v);
-                    break 'outer;
-                }
+        for (i, &v) in seq.iter().enumerate() {
+            if i > deg[v] || !prefix.is_subset(&adj[v]) {
+                found = Some(v);
+                break;
             }
+            prefix.insert(v);
         }
         let Some(v) = found else {
             // complete graph: γ = n − 1, nothing further to contract
@@ -173,17 +229,14 @@ fn gamma_r_core<R: Rng + ?Sized>(scratch: &mut LbScratch, mut rng: Option<&mut R
             break;
         };
         // (c,e) γ_R = degree(v)
-        lb = lb.max(adj[v].len());
+        lb = lb.max(deg[v]);
         // (d) contract with minimum-degree neighbour
-        if adj[v].is_empty() {
+        if deg[v] == 0 {
             alive.retain(|&x| x != v);
             continue;
         }
-        let min_nb_deg = adj[v].iter().map(|u| adj[u].len()).min().expect("nonempty");
-        tied.clear();
-        tied.extend(adj[v].iter().filter(|&u| adj[u].len() == min_nb_deg));
-        let u = pick_tied(tied, &mut rng);
-        contract_into(adj, alive, v, u);
+        let u = min_degree_neighbour(adj, deg, tied, v, &mut rng);
+        contract_into(adj, deg, alive, v, u);
     }
     lb
 }

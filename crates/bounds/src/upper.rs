@@ -2,19 +2,21 @@
 //! the thesis' A\*/BB algorithms for the initial upper bound), min-degree,
 //! and maximum cardinality search.
 
+use crate::lower::pick_tied;
 use ghd_core::eval::{GhwEvaluator, TwEvaluator};
 use ghd_core::EliminationOrdering;
-use ghd_hypergraph::{EliminationGraph, Graph, Hypergraph};
-use ghd_prng::{Rng, RngExt};
+use ghd_hypergraph::{BitSet, EliminationGraph, Graph, Hypergraph};
+use ghd_prng::Rng;
 
 /// Picks, among indices with the minimum key, either the first or a random
-/// one.
+/// one. `tied` is a reusable buffer.
 fn argmin_tie<R: Rng + ?Sized>(
     keys: impl Iterator<Item = (usize, usize)>,
+    tied: &mut Vec<usize>,
     rng: &mut Option<&mut R>,
 ) -> Option<usize> {
     let mut best_key = usize::MAX;
-    let mut tied: Vec<usize> = Vec::new();
+    tied.clear();
     for (v, key) in keys {
         match key.cmp(&best_key) {
             std::cmp::Ordering::Less => {
@@ -26,47 +28,67 @@ fn argmin_tie<R: Rng + ?Sized>(
             std::cmp::Ordering::Greater => {}
         }
     }
-    if tied.is_empty() {
-        return None;
-    }
-    Some(match rng {
-        Some(r) => tied[r.random_range(0..tied.len())],
-        None => tied[0],
-    })
+    (!tied.is_empty()).then(|| pick_tied(tied, rng))
 }
 
 /// The min-fill heuristic (§4.4.2): repeatedly eliminate the vertex whose
 /// elimination adds the fewest edges, filling the ordering from the back
 /// (position n first). Ties broken randomly when `rng` is given.
+///
+/// Fill counts are cached per vertex and refreshed only where an
+/// elimination can change them: eliminating `v` changes the neighbourhood
+/// of each `u ∈ N(v)`, and its fill edges (all inside `N(v)`) can only close
+/// pairs in the neighbourhoods of `N(N(v))`. A simplicial `v` adds no fill,
+/// so then only `N(v)` is refreshed.
 pub fn min_fill_ordering<R: Rng + ?Sized>(g: &Graph, mut rng: Option<&mut R>) -> EliminationOrdering {
     let n = g.num_vertices();
     let mut eg = EliminationGraph::new(g);
+    let mut fill: Vec<usize> = (0..n).map(|v| eg.fill_in_count(v)).collect();
+    let mut affected = BitSet::new(n);
+    let mut tied = Vec::new();
     let mut order = vec![0usize; n];
     for pos in (0..n).rev() {
-        let v = argmin_tie(
-            eg.alive().iter().map(|v| (v, eg.fill_in_count(v))),
-            &mut rng,
-        )
-        .expect("alive vertex exists");
+        let v = argmin_tie(eg.alive().iter().map(|v| (v, fill[v])), &mut tied, &mut rng)
+            .expect("alive vertex exists");
+        debug_assert_eq!(fill[v], eg.fill_in_count(v), "stale fill count");
         order[pos] = v;
+        affected.copy_from(eg.neighbors(v));
+        if fill[v] > 0 {
+            for u in eg.neighbors(v).iter() {
+                affected.union_with(eg.neighbors(u));
+            }
+            affected.remove(v);
+        }
         eg.eliminate(v);
+        for u in affected.iter() {
+            fill[u] = eg.fill_in_count(u);
+        }
     }
     EliminationOrdering::new(order).expect("permutation by construction")
 }
 
 /// The min-degree heuristic: like min-fill but keyed on current degree.
+/// Degrees are cached; an elimination changes only its neighbours' degrees.
 pub fn min_degree_ordering<R: Rng + ?Sized>(
     g: &Graph,
     mut rng: Option<&mut R>,
 ) -> EliminationOrdering {
     let n = g.num_vertices();
     let mut eg = EliminationGraph::new(g);
+    let mut deg: Vec<usize> = (0..n).map(|v| g.degree(v)).collect();
+    let mut nb = Vec::new();
+    let mut tied = Vec::new();
     let mut order = vec![0usize; n];
     for pos in (0..n).rev() {
-        let v = argmin_tie(eg.alive().iter().map(|v| (v, eg.degree(v))), &mut rng)
+        let v = argmin_tie(eg.alive().iter().map(|v| (v, deg[v])), &mut tied, &mut rng)
             .expect("alive vertex exists");
         order[pos] = v;
+        nb.clear();
+        nb.extend(eg.neighbors(v).iter());
         eg.eliminate(v);
+        for &u in &nb {
+            deg[u] = eg.degree(u);
+        }
     }
     EliminationOrdering::new(order).expect("permutation by construction")
 }
@@ -74,23 +96,38 @@ pub fn min_degree_ordering<R: Rng + ?Sized>(
 /// Maximum cardinality search: vertices are numbered front-to-back, each
 /// step choosing the vertex with the most already-numbered neighbours (the
 /// ordering is then used back-to-front for elimination, as everywhere else).
+///
+/// Unnumbered vertices sit in one bucket per weight, so the tied
+/// maximum-weight vertices are read off in ascending order without a scan
+/// of all vertices. Weights only grow, one step at a time, so the
+/// maximum-weight pointer moves down at most as often as it moves up.
 pub fn mcs_ordering<R: Rng + ?Sized>(g: &Graph, mut rng: Option<&mut R>) -> EliminationOrdering {
     let n = g.num_vertices();
     let mut weight = vec![0usize; n];
     let mut numbered = vec![false; n];
+    let mut buckets = vec![BitSet::full(n)];
+    let mut max_w = 0;
+    let mut tied = Vec::new();
     let mut order = Vec::with_capacity(n);
     for _ in 0..n {
-        // max weight == min of (n - weight)
-        let v = argmin_tie(
-            (0..n).filter(|&v| !numbered[v]).map(|v| (v, n - weight[v])),
-            &mut rng,
-        )
-        .expect("unnumbered vertex exists");
+        while buckets[max_w].is_empty() {
+            max_w -= 1;
+        }
+        tied.clear();
+        tied.extend(buckets[max_w].iter());
+        let v = pick_tied(&tied, &mut rng);
         numbered[v] = true;
+        buckets[max_w].remove(v);
         order.push(v);
         for u in g.neighbors(v).iter() {
             if !numbered[u] {
+                buckets[weight[u]].remove(u);
                 weight[u] += 1;
+                if weight[u] == buckets.len() {
+                    buckets.push(BitSet::new(n));
+                }
+                buckets[weight[u]].insert(u);
+                max_w = max_w.max(weight[u]);
             }
         }
     }

@@ -231,6 +231,31 @@ impl Hypergraph {
         &self.incidence[v]
     }
 
+    /// The hyperedges that no other hyperedge contains, in index order:
+    /// edge `i` is left out iff some edge `j ≠ i` contains it and is
+    /// strictly larger or, for equal edges, comes first. Every superset of
+    /// an edge passes through each of its vertices, so only the edges
+    /// through its rarest vertex are tested. An empty edge lies in every
+    /// edge: it is kept only as edge 0 of a hypergraph whose edges are all
+    /// empty.
+    pub fn uncontained_edges(&self) -> Vec<usize> {
+        let len: Vec<usize> = self.edges.iter().map(BitSet::len).collect();
+        let any_nonempty = len.iter().any(|&l| l > 0);
+        (0..self.edges.len())
+            .filter(|&i| {
+                let e = &self.edges[i];
+                let Some(rarest) = e.iter().min_by_key(|&p| self.incidence[p].len()) else {
+                    return i == 0 && !any_nonempty;
+                };
+                !self.incidence[rarest].iter().any(|&j| {
+                    j != i
+                        && (len[i] < len[j] || (len[i] == len[j] && j < i))
+                        && e.is_subset(&self.edges[j])
+                })
+            })
+            .collect()
+    }
+
     /// Maximum hyperedge cardinality (the *rank* of the hypergraph).
     pub fn rank(&self) -> usize {
         self.edges.iter().map(BitSet::len).max().unwrap_or(0)

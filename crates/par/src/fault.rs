@@ -11,6 +11,12 @@
 //! both install plans serialise instead of observing each other's faults.
 //! Dropping the returned [`FaultScope`] clears the plan.
 //!
+//! The plan is process-wide on purpose: it must reach tasks that run on
+//! threads the installer never sees, such as a daemon's workers. The
+//! price is that a caller running contained tasks *without* a scope can
+//! fire or consume another test's kill. So every test that runs tasks
+//! holds a scope, installing an empty plan for its clean runs.
+//!
 //! ```
 //! use ghd_par::fault::{self, FaultPlan};
 //!

@@ -470,7 +470,7 @@ fn worker_loop(shared: &PoolShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -601,12 +601,42 @@ mod tests {
     #[test]
     fn injected_delays_change_nothing_but_timing() {
         let xs: Vec<u64> = (0..24).collect();
-        let clean = parallel_map(&xs, 4, |&x| x * x);
+        let clean = {
+            // serialize with fault-plan-installing tests (process-global hook)
+            let _guard = fault::install(fault::FaultPlan::new());
+            parallel_map(&xs, 4, |&x| x * x)
+        };
         let _scope = fault::install(fault::FaultPlan::new().delay(42, 200));
         let delayed = parallel_map_contained(&xs, 4, |&x| x * x);
         assert!(delayed.is_clean());
         let delayed: Vec<u64> = delayed.results.into_iter().map(Option::unwrap).collect();
         assert_eq!(clean, delayed);
+    }
+
+    #[test]
+    fn a_clean_scope_keeps_a_concurrent_kill_plan_out() {
+        // Every task-running test here holds a scope, an empty plan for
+        // clean runs. A kill plan from a concurrent test then cannot be
+        // installed while such a map runs, so it can neither fire nor be
+        // consumed there: it waits and fires in its own map.
+        let clean = fault::install(fault::FaultPlan::new());
+        let installed = AtomicBool::new(false);
+        let xs: Vec<usize> = (0..64).collect();
+        thread::scope(|s| {
+            let killer = s.spawn(|| {
+                let scope = fault::install(fault::FaultPlan::new().kill_task(0));
+                installed.store(true, Ordering::SeqCst);
+                let out = parallel_map_contained(&xs, 2, |&x| x);
+                (scope.fired(), out.faults.len())
+            });
+            for _ in 0..20 {
+                let out = parallel_map_contained(&xs, 4, |&x| x);
+                assert!(out.is_clean(), "a concurrent kill fired in a scoped map");
+                assert!(!installed.load(Ordering::SeqCst), "plan installed over a held scope");
+            }
+            drop(clean);
+            assert_eq!(killer.join().expect("killer thread"), (1, 1), "the kill waits for its own map");
+        });
     }
 
     #[test]

@@ -786,17 +786,7 @@ pub fn split_ghw(
     let mut report = SplitReport::default();
     // contained-edge reduction: e ⊆ f keeps ghw exactly (f's bag covers e,
     // and f replaces e in any λ-cover without growing it)
-    let kept: Vec<usize> = (0..h.num_edges())
-        .filter(|&i| {
-            let e = h.edge(i);
-            !(0..h.num_edges()).any(|j| {
-                j != i && {
-                    let f = h.edge(j);
-                    e.is_subset(f) && (e.len() < f.len() || j < i)
-                }
-            })
-        })
-        .collect();
+    let kept = h.uncontained_edges();
     report.contained_edges = h.num_edges() - kept.len();
     let reduced = Hypergraph::from_edges(n, kept.iter().map(|&i| h.edge(i).to_vec()));
     let comps = hypergraph_components(&reduced);
