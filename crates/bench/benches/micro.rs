@@ -12,10 +12,10 @@ use ghd_bench::timer::Harness;
 use ghd_bounds::lower::{degeneracy, minor_gamma_r, minor_min_width};
 use ghd_bounds::upper::min_fill_ordering;
 use ghd_bounds::{ghw_lower_bound, ghw_upper_bound};
-use ghd_core::bucket::{bucket_elimination, vertex_elimination};
+use ghd_core::bucket::{bucket_elimination, ghd_from_ordering, vertex_elimination};
 use ghd_core::eval::{GhwEvaluator, TwEvaluator};
 use ghd_core::setcover::{exact_cover, greedy_cover, CoverCache};
-use ghd_core::EliminationOrdering;
+use ghd_core::{CoverMethod, EliminationOrdering};
 use ghd_ga::{CrossoverOp, MutationOp};
 use ghd_hypergraph::generators::{graphs, hypergraphs};
 use ghd_hypergraph::{BitSet, EliminationGraph, Hypergraph};
@@ -131,6 +131,26 @@ fn bench_root_bounds_at_scale(hn: &mut Harness) {
     }
 }
 
+/// Certification of a ghw answer (§2.5.2 / Theorem 3): the GHD an ordering
+/// induces with exact covers, and its Definition 13 check, on `clique 50`
+/// (a 50-vertex root bag meeting all 1225 edges) and `adder 200`; the
+/// min-fill ordering stands in for the certified one.
+fn bench_certification(hn: &mut Harness) {
+    for (name, h) in [
+        ("clique_50", hypergraphs::clique(50)),
+        ("adder_200", hypergraphs::adder(200)),
+    ] {
+        let (_, sigma) = ghw_upper_bound::<StdRng>(&h, None);
+        hn.bench(&format!("certify/ghd_from_ordering_exact/{name}"), || {
+            black_box(ghd_from_ordering(black_box(&h), &sigma, CoverMethod::Exact));
+        });
+        let ghd = ghd_from_ordering(&h, &sigma, CoverMethod::Exact);
+        hn.bench(&format!("certify/ghd_verify/{name}"), || {
+            black_box(black_box(&ghd).verify(&h)).expect("valid GHD");
+        });
+    }
+}
+
 fn bench_ga_operators(hn: &mut Harness) {
     let mut rng = StdRng::seed_from_u64(5);
     let p1: Vec<usize> = (0..200).collect();
@@ -205,6 +225,7 @@ fn main() {
     bench_lower_bounds(&mut hn);
     bench_upper_bounds(&mut hn);
     bench_root_bounds_at_scale(&mut hn);
+    bench_certification(&mut hn);
     bench_ga_operators(&mut hn);
     bench_csp_joins(&mut hn);
     bench_preprocess_and_adaptive(&mut hn);

@@ -58,8 +58,9 @@ impl GeneralizedHypertreeDecomposition {
     /// Validates the three conditions of Definition 13 against `h`.
     pub fn verify(&self, h: &Hypergraph) -> Result<(), DecompositionError> {
         self.td.verify(h)?;
+        let mut covered = BitSet::new(h.num_vertices());
         for p in self.td.nodes() {
-            let mut covered = BitSet::new(h.num_vertices());
+            covered.clear();
             for &e in &self.lambda[p] {
                 covered.union_with(h.edge(e));
             }

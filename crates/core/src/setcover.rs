@@ -10,6 +10,7 @@
 use ghd_hypergraph::{BitSet, Hypergraph};
 use ghd_prng::hash::{fx_hash_words, FxBuildHasher};
 use ghd_prng::{Rng, RngExt};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -22,35 +23,176 @@ pub enum CoverMethod {
     Exact,
 }
 
+/// Marks an edge collected for the current target but not kept (yet, or
+/// any more) in [`CandScratch::slot`].
+const COLLECTED: u32 = u32::MAX;
+
+/// Reusable index memory for [`candidates`], one per thread. Arrays indexed
+/// by edge or vertex grow to the largest hypergraph seen on the thread and
+/// are reset through the touched lists, so a call costs nothing
+/// proportional to `|V|` or `|E|`.
+#[derive(Default)]
+struct CandScratch {
+    /// Per edge: 0 = untouched, [`COLLECTED`] = meets the target but is not
+    /// kept, otherwise 1 + the arena index of its kept restriction.
+    slot: Vec<u32>,
+    /// Per vertex `v`: arena indices of kept restrictions whose least
+    /// vertex is `v` (entries of removed restrictions are pruned lazily).
+    first: Vec<Vec<u32>>,
+    /// Edges meeting the target: the touched entries of `slot`.
+    edges: Vec<usize>,
+    /// Vertices whose `first` list was written to.
+    first_touched: Vec<usize>,
+    /// Restrictions in insertion order, with their sizes and liveness.
+    arena: Vec<(usize, BitSet)>,
+    len: Vec<u32>,
+    alive: Vec<bool>,
+    /// Live arena indices in the order the quadratic dedupe kept them.
+    order: Vec<u32>,
+    /// The restriction under test.
+    buf: BitSet,
+}
+
+impl CandScratch {
+    fn reset(&mut self, h: &Hypergraph) {
+        for &e in &self.edges {
+            self.slot[e] = 0;
+        }
+        for &v in &self.first_touched {
+            self.first[v].clear();
+        }
+        self.edges.clear();
+        self.first_touched.clear();
+        self.arena.clear();
+        self.len.clear();
+        self.alive.clear();
+        self.order.clear();
+        if self.slot.len() < h.num_edges() {
+            self.slot.resize(h.num_edges(), 0);
+        }
+        if self.first.len() < h.num_vertices() {
+            self.first.resize_with(h.num_vertices(), Vec::new);
+        }
+    }
+}
+
+thread_local! {
+    static CAND_SCRATCH: RefCell<CandScratch> = RefCell::new(CandScratch::default());
+}
+
 /// Candidate hyperedges for covering `target`: those intersecting it,
 /// deduplicated by their restriction to `target` and pruned to maximal
 /// restrictions. Returns `(edge_index, restriction)` pairs.
-fn candidates(target: &BitSet, h: &Hypergraph) -> Vec<(usize, BitSet)> {
-    let mut seen = Vec::<(usize, BitSet)>::new();
-    let mut edge_ids = BitSet::new(h.num_edges());
+///
+/// The result is the set of maximal restrictions, each at the first edge
+/// (by index) that realises it, in the order of the quadratic scan that
+/// compares every new restriction with every kept one and `swap_remove`s
+/// the kept ones it dominates; greedy tie-breaks, and with them the λ-sets
+/// printed by `--show`, depend on that order. The kept set is an antichain
+/// at every step, so a new restriction is either dominated by a kept one
+/// (and nothing is removed) or strictly dominates every kept one it is
+/// comparable with. Supersets are therefore looked up among the kept
+/// restrictions of the edges through the new restriction's rarest vertex,
+/// subsets among the kept restrictions whose least vertex it contains, and
+/// the `swap_remove` order is replayed only when something is removed.
+pub fn candidates(target: &BitSet, h: &Hypergraph) -> Vec<(usize, BitSet)> {
+    CAND_SCRATCH.with(|s| candidates_in(&mut s.borrow_mut(), target, h))
+}
+
+fn candidates_in(s: &mut CandScratch, target: &BitSet, h: &Hypergraph) -> Vec<(usize, BitSet)> {
+    s.reset(h);
+    let CandScratch {
+        slot,
+        first,
+        edges,
+        first_touched,
+        arena,
+        len,
+        alive,
+        order,
+        buf,
+    } = s;
     for v in target.iter() {
         for &e in h.edges_containing(v) {
-            edge_ids.insert(e);
-        }
-    }
-    'next: for e in edge_ids.iter() {
-        let mut restriction = h.edge(e).clone();
-        restriction.intersect_with(target);
-        // drop restrictions dominated by an existing candidate
-        let mut i = 0;
-        while i < seen.len() {
-            if restriction.is_subset(&seen[i].1) {
-                continue 'next;
-            }
-            if seen[i].1.is_subset(&restriction) {
-                seen.swap_remove(i);
-            } else {
-                i += 1;
+            if slot[e] == 0 {
+                slot[e] = COLLECTED;
+                edges.push(e);
             }
         }
-        seen.push((e, restriction));
     }
-    seen
+    edges.sort_unstable();
+    for &e in edges.iter() {
+        buf.copy_from(h.edge(e));
+        buf.intersect_with(target);
+        let mut size = 0u32;
+        let mut rarest = usize::MAX;
+        for v in buf.iter() {
+            size += 1;
+            if rarest == usize::MAX
+                || h.edges_containing(v).len() < h.edges_containing(rarest).len()
+            {
+                rarest = v;
+            }
+        }
+        // a kept superset contains `rarest`, so its edge is incident to it
+        let dominated = h.edges_containing(rarest).iter().any(|&f| {
+            let k = slot[f];
+            k != 0 && k != COLLECTED && {
+                let k = (k - 1) as usize;
+                len[k] >= size && buf.is_subset(&arena[k].1)
+            }
+        });
+        if dominated {
+            continue;
+        }
+        // a kept subset's least vertex lies in `buf`
+        let mut removed = false;
+        for v in buf.iter() {
+            let list = &mut first[v];
+            let mut w = 0;
+            for r in 0..list.len() {
+                let k = list[r] as usize;
+                if !alive[k] {
+                    continue;
+                }
+                if len[k] < size && arena[k].1.is_subset(buf) {
+                    alive[k] = false;
+                    slot[arena[k].0] = COLLECTED;
+                    removed = true;
+                    continue;
+                }
+                list[w] = k as u32;
+                w += 1;
+            }
+            list.truncate(w);
+        }
+        if removed {
+            // the quadratic scan's `swap_remove` sweep, replayed on flags
+            let mut i = 0;
+            while i < order.len() {
+                if alive[order[i] as usize] {
+                    i += 1;
+                } else {
+                    order.swap_remove(i);
+                }
+            }
+        }
+        let k = arena.len();
+        let least = buf.min().expect("a restriction meets the target");
+        if first[least].is_empty() {
+            first_touched.push(least);
+        }
+        first[least].push(k as u32);
+        slot[e] = k as u32 + 1;
+        arena.push((e, buf.clone()));
+        len.push(size);
+        alive.push(true);
+        order.push(k as u32);
+    }
+    order
+        .iter()
+        .map(|&k| std::mem::take(&mut arena[k as usize]))
+        .collect()
 }
 
 /// Greedy set cover (Fig 7.2): repeatedly takes a hyperedge covering the
@@ -65,9 +207,18 @@ fn candidates(target: &BitSet, h: &Hypergraph) -> Vec<(usize, BitSet)> {
 pub fn greedy_cover<R: Rng + ?Sized>(
     target: &BitSet,
     h: &Hypergraph,
+    rng: Option<&mut R>,
+) -> Vec<usize> {
+    greedy_over(&candidates(target, h), target, rng)
+}
+
+/// [`greedy_cover`] over a precomputed [`candidates`] list, so a cover that
+/// also runs the exact search builds its candidates once.
+fn greedy_over<R: Rng + ?Sized>(
+    cands: &[(usize, BitSet)],
+    target: &BitSet,
     mut rng: Option<&mut R>,
 ) -> Vec<usize> {
-    let cands = candidates(target, h);
     let mut uncovered = target.clone();
     let mut chosen = Vec::new();
     while !uncovered.is_empty() {
@@ -104,7 +255,7 @@ pub fn greedy_cover_size<R: Rng + ?Sized>(
 /// bound `chosen + ⌈uncovered / max_gain⌉ ≥ best`.
 pub fn exact_cover(target: &BitSet, h: &Hypergraph) -> Vec<usize> {
     let cands = candidates(target, h);
-    let best: Vec<usize> = greedy_cover::<ghd_prng::rngs::StdRng>(target, h, None);
+    let best = greedy_over::<ghd_prng::rngs::StdRng>(&cands, target, None);
     let mut state = ExactState {
         cands: &cands,
         best,
@@ -137,7 +288,7 @@ pub fn exact_cover_size_capped(target: &BitSet, h: &Hypergraph, cap: usize) -> (
         return (0, true);
     }
     let cands = candidates(target, h);
-    let greedy: Vec<usize> = greedy_cover::<ghd_prng::rngs::StdRng>(target, h, None);
+    let greedy = greedy_over::<ghd_prng::rngs::StdRng>(&cands, target, None);
     let greedy_len = greedy.len();
     let mut state = ExactState {
         cands: &cands,

@@ -458,16 +458,20 @@ fn degraded_unit(core: &Graph, unit: &Unit) -> Solved {
 /// Stitches the per-unit orderings into one core ordering of width
 /// ≤ max unit widths: atoms of each biconnected block are peeled in
 /// creation order (deferring what later atoms share), each block is then
-/// re-peeled to defer its attachment cut vertex, components concatenate.
+/// re-peeled to defer its attachment cut vertex (the root block defers
+/// nothing), components concatenate. Peels emit first-eliminated first, so
+/// the result is reversed into the workspace's back-to-front convention.
 fn stitch_tw(core: &Graph, plan: &Plan, solved: &[Solved]) -> Vec<usize> {
     let mut out = Vec::with_capacity(core.num_vertices());
     for comp in &plan.comps {
         for bcc in &comp.bccs {
             let m = bcc.unit_ids.len();
-            let mut bcc_order: Vec<usize> = Vec::with_capacity(bcc.verts.len());
-            if m == 1 {
-                bcc_order.extend_from_slice(&solved[bcc.unit_ids[0]].ordering);
+            // the block's ordering, eliminated from the back
+            let bcc_order: Vec<usize> = if m == 1 {
+                solved[bcc.unit_ids[0]].ordering.clone()
             } else {
+                // first-eliminated first while the atoms are peeled
+                let mut elim: Vec<usize> = Vec::with_capacity(bcc.verts.len());
                 // occurrences of each vertex among the not-yet-peeled atoms
                 let mut occ = vec![0usize; core.num_vertices()];
                 for &u in &bcc.unit_ids {
@@ -480,37 +484,26 @@ fn stitch_tw(core: &Graph, plan: &Plan, solved: &[Solved]) -> Vec<usize> {
                     for &v in &unit.verts {
                         occ[v] -= 1;
                     }
-                    let defer: Vec<usize> = unit
-                        .verts
-                        .iter()
-                        .copied()
-                        .filter(|&v| occ[v] > 0)
-                        .collect();
-                    if defer.is_empty() {
-                        // emit whatever this atom still owns, solver order
-                        let tail: Vec<usize> = solved[u]
-                            .ordering
-                            .iter()
-                            .copied()
-                            .filter(|&v| !bcc_order.contains(&v))
-                            .collect();
-                        bcc_order.extend(tail);
+                    let defer: Vec<usize> =
+                        unit.verts.iter().copied().filter(|&v| occ[v] > 0).collect();
+                    let owned: Vec<usize> = if defer.is_empty() {
+                        // emit whatever this atom still owns, in its solver's elimination order
+                        solved[u].ordering.iter().rev().copied().collect()
                     } else {
-                        let peeled: Vec<usize> =
-                            peel_ordering(core, &unit.verts, &solved[u].ordering, &defer)
-                            .into_iter()
-                            .filter(|v| !bcc_order.contains(v))
-                            .collect();
-                        bcc_order.extend(peeled);
-                    }
+                        peel_ordering(core, &unit.verts, &solved[u].ordering, &defer)
+                    };
+                    let fresh: Vec<usize> =
+                        owned.into_iter().filter(|v| !elim.contains(v)).collect();
+                    elim.extend(fresh);
                 }
-            }
-            match bcc.attach {
-                Some(c) => out.extend(peel_ordering(core, &bcc.verts, &bcc_order, &[c])),
-                None => out.extend_from_slice(&bcc_order),
-            }
+                elim.reverse();
+                elim
+            };
+            let defer: &[usize] = bcc.attach.as_slice();
+            out.extend(peel_ordering(core, &bcc.verts, &bcc_order, defer));
         }
     }
+    out.reverse();
     out
 }
 

@@ -62,6 +62,8 @@ fn structured(variant: usize) -> Graph {
 
 #[test]
 fn random_batch_split_on_off_identical() {
+    // an empty plan keeps a concurrent test's injected kill out of these runs
+    let _clean = ghd_par::fault::install(ghd_par::fault::FaultPlan::new());
     for seed in 0..6u64 {
         let g = graphs::gnm_random(16, 34, seed);
         let mono = bb_tw(&g, &tw_cfg());
@@ -81,6 +83,8 @@ fn random_batch_split_on_off_identical() {
 
 #[test]
 fn structured_batch_split_on_off_identical() {
+    // an empty plan keeps a concurrent test's injected kill out of these runs
+    let _clean = ghd_par::fault::install(ghd_par::fault::FaultPlan::new());
     for variant in [0, 3, 7] {
         let g = structured(variant);
         let mono = bb_tw(&g, &tw_cfg());
@@ -99,6 +103,8 @@ fn structured_batch_split_on_off_identical() {
 
 #[test]
 fn ghw_batch_split_on_off_identical() {
+    // an empty plan keeps a concurrent test's injected kill out of these runs
+    let _clean = ghd_par::fault::install(ghd_par::fault::FaultPlan::new());
     // two structured hypergraphs plus seeded random circuits
     let mut cases: Vec<Hypergraph> = vec![hypergraphs::grid2d(3), hypergraphs::bridge(3)];
     for seed in 0..3u64 {
@@ -135,6 +141,8 @@ fn ghw_batch_split_on_off_identical() {
 
 #[test]
 fn cancel_mid_block_stays_sound() {
+    // an empty plan keeps a concurrent test's injected kill out of these runs
+    let _clean = ghd_par::fault::install(ghd_par::fault::FaultPlan::new());
     // cancel fires while block solves are in flight: the result must
     // still be a sound, certified anytime answer
     let g = structured(0);
