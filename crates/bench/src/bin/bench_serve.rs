@@ -55,9 +55,10 @@ fn workload() -> Vec<WorkItem> {
     specs
         .into_iter()
         .map(|(name, cmd, instance)| {
+            let cancel = ghd_search::CancelToken::default();
             let report = match cmd {
-                "tw" => ghd_cli::solve_tw_text(&instance, &bb),
-                _ => ghd_cli::solve_ghw_text(&instance, &bb),
+                "tw" => ghd_cli::solve_tw_text_with_store(&instance, &bb, cancel, None),
+                _ => ghd_cli::solve_ghw_text_with_store(&instance, &bb, cancel, None),
             }
             .expect("one-shot reference solve");
             WorkItem { name, cmd, instance, args: bb.clone(), expect: report.body }

@@ -184,8 +184,8 @@ fn check(doc: &Json) -> Vec<String> {
             }
         }
     }
-    // Parallel threads-sweep rows: the work-stealing and root-split walls
-    // against the sequential search, plus the steal counters. Mandatory —
+    // Parallel threads-sweep rows: the work-stealing wall against the
+    // sequential search, plus the steal counters. Mandatory —
     // bench_smoke always emits the section now.
     if doc.get("hw_threads").and_then(Json::as_f64).is_none() {
         err("top-level `hw_threads` number missing".to_string());
@@ -306,9 +306,7 @@ const SWEEP_REQUIRED_NUMBERS: &[&str] = &[
     "width",
     "wall_s_seq",
     "wall_s_steal",
-    "wall_s_rootsplit",
     "speedup_steal",
-    "speedup_rootsplit",
     "published",
     "executed",
     "stolen",
@@ -468,8 +466,7 @@ mod tests {
             "threads_sweep": [
                 {"instance": "g@t4", "threads": 4, "vertices": 4, "edges": 4,
                  "width": 2, "exact": true, "certified": true,
-                 "wall_s_seq": 0.08, "wall_s_steal": 0.03, "wall_s_rootsplit": 0.06,
-                 "speedup_steal": 2.6667, "speedup_rootsplit": 1.3333,
+                 "wall_s_seq": 0.08, "wall_s_steal": 0.03, "speedup_steal": 2.6667,
                  "published": 10, "executed": 11, "stolen": 6, "retried": 0}
             ],
             "split_sweep": [

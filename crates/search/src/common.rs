@@ -8,11 +8,11 @@
 //! budget per worker. [`Budget`] is the shared realisation: a single
 //! wall-clock deadline plus a single atomic pool of node credits that every
 //! worker draws from. `bb_tw_parallel`/`bb_ghw_parallel` hand each
-//! root-split worker a [`Ticker`] view onto the *same* budget, so a
+//! work-stealing worker a [`Ticker`] view onto the *same* budget, so a
 //! `time_limit` of T finishes in O(T) wall-clock and a `max_nodes` of N
 //! expands at most N states **in total**, for any thread count. (Before
 //! this layer each worker owned a private ticker, silently inflating the
-//! budget by the number of root children.)
+//! budget by the number of workers.)
 //!
 //! # Telemetry
 //!
@@ -410,8 +410,8 @@ pub struct SearchStats {
     /// wrapping ids into another worker's range.
     pub interner_overflow: bool,
     /// Contained worker panics observed during the run (parallel searches
-    /// only; each record names the worker, the root-split task index and the
-    /// stringified panic payload). Mirrors [`SearchResult::faults`], which
+    /// only; each record names the worker, the task id and the stringified
+    /// panic payload). Mirrors [`SearchResult::faults`], which
     /// is populated even when telemetry is off.
     pub faults: Vec<WorkerFault>,
 }
@@ -584,9 +584,9 @@ pub struct SearchResult {
     pub stats: Option<SearchStats>,
     /// Contained worker panics (always populated, telemetry on or off).
     /// Empty for a clean run; a non-empty list means the result is still
-    /// valid — every faulted root-split task was retried on the caller
-    /// thread or its bound degraded soundly — but the process hosted a
-    /// panicking worker and should say so.
+    /// valid — every faulted task was retried once by its publisher or its
+    /// bound degraded soundly — but the process hosted a panicking worker
+    /// and should say so.
     pub faults: Vec<WorkerFault>,
 }
 

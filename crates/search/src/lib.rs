@@ -11,6 +11,7 @@
 pub mod arena;
 pub mod astar_ghw;
 pub mod astar_tw;
+mod bb;
 pub mod bb_ghw;
 pub mod bb_tw;
 pub mod common;
@@ -29,8 +30,8 @@ pub use interner::StateInterner;
 pub use queue::BucketQueue;
 pub use sharded::ShardedInterner;
 pub use steal::StealConfig;
-pub use bb_ghw::{bb_ghw, bb_ghw_budgeted, bb_ghw_parallel, bb_ghw_parallel_rootsplit, witness_ghw, BbGhwConfig};
-pub use bb_tw::{bb_tw, bb_tw_budgeted, bb_tw_parallel, bb_tw_parallel_rootsplit, witness_tw, BbConfig, LbMode};
+pub use bb_ghw::{bb_ghw, bb_ghw_budgeted, bb_ghw_parallel, witness_ghw, BbGhwConfig};
+pub use bb_tw::{bb_tw, bb_tw_budgeted, bb_tw_parallel, witness_tw, BbConfig, LbMode};
 pub use common::{
     Budget, CancelToken, IncumbentSample, PruneCounters, SearchLimits, SearchResult,
     SearchStats, StealCounters, Ticker,

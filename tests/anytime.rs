@@ -1,6 +1,6 @@
 //! Anytime-soundness tests: interrupted searches must report bounds that
 //! bracket the true optimum, for every algorithm and every budget — plus
-//! determinism of the parallel root-split searches and the cover cache's
+//! determinism of the parallel work-stealing searches and the cover cache's
 //! behavioural transparency.
 
 use ghd::core::bucket::ghd_from_ordering;
@@ -106,7 +106,7 @@ fn bb_upper_bounds_improve_monotonically_with_budget() {
     assert!(last_ub >= 18); // never below the true treewidth
 }
 
-/// The parallel root-split searches are deterministic and width-identical
+/// The parallel work-stealing searches are deterministic and width-identical
 /// to the sequential searches for fixed seeds, for every thread count, and
 /// the returned orderings actually realise the reported widths.
 #[test]
@@ -145,7 +145,7 @@ fn parallel_searches_match_sequential_and_orderings_realize_widths() {
 }
 
 /// One wall-clock deadline is shared by every worker of the parallel
-/// root-split searches: a run with `time_limit = T` finishes in O(T) wall
+/// work-stealing searches: a run with `time_limit = T` finishes in O(T) wall
 /// time for **any** thread count — never `threads × T`. The fixed grace
 /// term covers the uninterruptible root work (heuristic bounds, root
 /// covers), which runs before the first deadline check.
@@ -172,8 +172,8 @@ fn parallel_time_budget_is_shared_not_multiplied() {
 
 /// `max_nodes = N` is one **global** pool of node credits: the merged
 /// expansion count of all workers never exceeds N, for any thread count
-/// (the pre-fix behaviour handed every root-split worker its own budget,
-/// inflating the real limit by the number of root children).
+/// (the pre-fix behaviour handed every parallel worker its own budget,
+/// inflating the real limit by the number of workers).
 #[test]
 fn parallel_node_budget_is_global() {
     let g = graphs::queen(6);

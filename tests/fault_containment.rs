@@ -1,5 +1,5 @@
 //! Fault-containment integration tests: with a deterministic fault injected
-//! into one of the root-split workers, the parallel searches must return
+//! into one of the work-stealing tasks, the parallel searches must return
 //! the *same width* as the sequential search, report the fault through
 //! `SearchResult::faults` / `SearchStats::faults`, and keep respecting the
 //! global node/time budget. With injection disabled, results are
@@ -29,7 +29,7 @@ fn bb_tw_parallel_survives_a_killed_worker_width_identical() {
         };
         assert!(seq.exact);
         for threads in [2, 4] {
-            // kill the first root-split task once; the retry explores it
+            // kill the seed task once; the retry explores it
             let scope = fault::install(FaultPlan::new().kill_task(0));
             let par = bb_tw_parallel(&g, &BbConfig::default(), threads);
             assert_eq!(scope.fired(), 1, "threads {threads}: fault did not fire");
