@@ -9,8 +9,10 @@
 use ghd::hypergraph::io::{parse_hypergraph, ParseError};
 use ghd::hypergraph::Hypergraph;
 use ghd_prng::rngs::StdRng;
-use ghd_prng::RngExt;
 use std::collections::HashMap;
+
+#[path = "support/hypergraph_corpus.rs"]
+mod hypergraph_corpus;
 
 fn err(line: usize, message: impl Into<String>) -> ParseError {
     ParseError { line, message: message.into() }
@@ -137,124 +139,9 @@ fn assert_same(input: &str, context: &str) {
 
 #[test]
 fn adversarial_inputs_parse_like_the_oracle() {
-    let cases = [
-        "",
-        "\n\n",
-        "A(x,y),\nB(y,z).\n",
-        "A(x,y),B(y,z)",
-        // comments inside names and vertex lists, `%` and `#`
-        "A(x,% y)\nz)",
-        "Ab%c(x)\nd(y)",
-        "A(x,y)# B(y,z)\nC(z)",
-        "% header only",
-        "#(x)\nA(x)",
-        "A(x%\n,y)",
-        // CRLF, lone CR and CR inside names spanning lines
-        "A(x,y),\r\nB(y,z).\r\n",
-        "A(x\r\ny)",
-        "na\r\nme(x)",
-        "A(x)\r",
-        "A(x\ry)",
-        "A(x)\r\n% c\r\nB(x)",
-        // non-ASCII whitespace between atoms and inside names
-        "A(x,y)\u{a0},\u{2003}B(y,z)",
-        "A\u{a0}B(x\u{2003}y, z\u{a0})",
-        "\u{2003}\u{a0}A(\u{a0}x\u{a0})",
-        "\u{85}A(x)\u{2028}B(\u{3000}x)",
-        "A(x\u{b}y,\u{c}z)",
-        "A(\u{a0}, x)",
-        // empty vertices
-        "e(,a)",
-        "e(a,)",
-        "e(a,,b)",
-        "e( , )",
-        "e()",
-        "e( )",
-        // unterminated atoms
-        "A(x",
-        "A(x,",
-        "A(x,y",
-        "A",
-        "A   ",
-        "A(x),B",
-        "A(x),B(",
-        // `)` or `,` before `(`
-        "(x,y)",
-        ")A(x)",
-        "A)(x)",
-        "A,B(x)",
-        "A(x)),B(y)",
-        // stray separators
-        "...,,,A(x)...,,",
-        ".,A(x),.B(y).",
-        "A.b(x.y,z.)",
-        // nested parentheses become part of a vertex name
-        "A(x(y),z)",
-        "A((x))",
-        // multibyte names and a duplicate vertex within an edge
-        "é(ü,ü,ß)",
-        "𝄞(😀,✓)\n€(✓)",
-    ];
-    for input in cases {
+    for input in hypergraph_corpus::ADVERSARIAL {
         assert_same(input, "adversarial");
     }
-}
-
-/// A seeded instance text: random atoms over a small name pool, joined by
-/// random separators, with random comments and line endings spliced in.
-fn random_text(rng: &mut StdRng) -> String {
-    const NAMES: &[&str] = &["a", "b", "x1", "x_2", "v.3", "é", "ü ü", "n\u{a0}m", "𝄞", "long_name_42"];
-    const SEPS: &[&str] = &[",", ",\n", ", ", ",\r\n", ".", "\n", "\u{a0},", ",\u{2003}", " ,\t", ",.,"];
-    const PADS: &[&str] = &["", "", "", " ", "\t", "\u{a0}", "\u{2003}", "\r\n", "\n"];
-    let mut s = String::new();
-    let atoms = rng.random_range(0..12usize);
-    for i in 0..atoms {
-        if i > 0 {
-            s.push_str(SEPS[rng.random_range(0..SEPS.len())]);
-        }
-        if rng.random_bool(0.15) {
-            s.push_str(if rng.random_bool(0.5) { "% note (a,b)\n" } else { "# x)\r\n" });
-        }
-        s.push_str(PADS[rng.random_range(0..PADS.len())]);
-        s.push_str(&format!("E{}", rng.random_range(0..20u32)));
-        s.push_str(PADS[rng.random_range(0..PADS.len())]);
-        s.push('(');
-        let arity = rng.random_range(1..5usize);
-        for j in 0..arity {
-            if j > 0 {
-                s.push(',');
-            }
-            s.push_str(PADS[rng.random_range(0..PADS.len())]);
-            s.push_str(NAMES[rng.random_range(0..NAMES.len())]);
-            s.push_str(PADS[rng.random_range(0..PADS.len())]);
-        }
-        s.push(')');
-    }
-    if rng.random_bool(0.5) {
-        s.push('.');
-    }
-    if rng.random_bool(0.5) {
-        s.push('\n');
-    }
-    s
-}
-
-/// Applies up to three character-level edits from the parser's special
-/// characters: insert, delete, or truncate.
-fn mutate(text: &str, rng: &mut StdRng) -> String {
-    const SPECIAL: &[char] = &['(', ')', ',', '.', '%', '#', '\r', '\n', ' ', '\u{a0}', '\u{2003}', 'q', 'é'];
-    let mut chars: Vec<char> = text.chars().collect();
-    for _ in 0..rng.random_range(1..=3usize) {
-        let at = rng.random_range(0..=chars.len());
-        match rng.random_range(0..4u32) {
-            0 | 1 => chars.insert(at, SPECIAL[rng.random_range(0..SPECIAL.len())]),
-            2 if at < chars.len() => {
-                chars.remove(at);
-            }
-            _ => chars.truncate(at),
-        }
-    }
-    chars.into_iter().collect()
 }
 
 #[test]
@@ -262,9 +149,9 @@ fn seeded_random_texts_parse_like_the_oracle() {
     let (mut ok, mut failed) = (0, 0);
     for seed in 0..3000u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let text = random_text(&mut rng);
+        let text = hypergraph_corpus::random_text(&mut rng);
         assert_same(&text, &format!("seed {seed}"));
-        let mutant = mutate(&text, &mut rng);
+        let mutant = hypergraph_corpus::mutate(&text, &mut rng);
         assert_same(&mutant, &format!("seed {seed} (mutated)"));
         for input in [&text, &mutant] {
             if oracle_parse(input).is_ok() {
