@@ -15,6 +15,12 @@
 //!      in microseconds, which the run's wall-clock bound would expose,
 //!      and directly by the header-cap unit tests in each parser).
 //!
+//! The two differential targets, `canon_graph` and `canon_hypergraph`,
+//! also hold the daemon's cache-key writers to their oracle: on every
+//! mutant `canonical_*_text` must return exactly what
+//! `write_*(parse_*(mutant))` returns, bytes or error. A disagreement
+//! panics like a crash does.
+//!
 //! Any panic aborts the run with the seed and iteration number, which
 //! reproduce the failing input exactly:
 //!
@@ -96,6 +102,22 @@ fn targets() -> Vec<Target> {
         })
         .collect();
 
+    // both graph formats, plus a copy with its edge lines reversed and
+    // every other one mirrored, so the canonical writer's sort runs too
+    let graph_corpus: Vec<String> = gs
+        .iter()
+        .flat_map(|g| {
+            let dimacs = hio::write_dimacs(g);
+            let mut lines: Vec<String> = dimacs.lines().map(str::to_string).collect();
+            lines[1..].reverse();
+            for line in lines[1..].iter_mut().step_by(2) {
+                let ends: Vec<&str> = line.split(' ').collect();
+                *line = format!("e {} {}", ends[2], ends[1]);
+            }
+            [hio::write_pace_gr(g), dimacs, lines.join("\n")]
+        })
+        .collect();
+
     vec![
         Target {
             name: "dimacs",
@@ -109,8 +131,31 @@ fn targets() -> Vec<Target> {
         },
         Target {
             name: "hypergraph",
-            corpus: hyper_corpus,
+            corpus: hyper_corpus.clone(),
             parse: Box::new(|s| hio::parse_hypergraph(s).is_ok()),
+        },
+        Target {
+            name: "canon_graph",
+            corpus: graph_corpus,
+            parse: Box::new(|s| {
+                let canon = hio::canonical_graph_text(s);
+                let oracle = hio::parse_graph(s).map(|g| hio::write_dimacs(&g));
+                assert_eq!(canon, oracle, "canonical_graph_text disagrees with write_dimacs(parse_graph(..))");
+                canon.is_ok()
+            }),
+        },
+        Target {
+            name: "canon_hypergraph",
+            corpus: hyper_corpus,
+            parse: Box::new(|s| {
+                let canon = hio::canonical_hypergraph_text(s);
+                let oracle = hio::parse_hypergraph(s).map(|h| hio::write_hypergraph(&h));
+                assert_eq!(
+                    canon, oracle,
+                    "canonical_hypergraph_text disagrees with write_hypergraph(parse_hypergraph(..))"
+                );
+                canon.is_ok()
+            }),
         },
         Target {
             name: "td",
@@ -240,7 +285,7 @@ fn main() {
                 }
                 Err(_) => {
                     eprintln!(
-                        "fuzz_inputs: PANIC in `{}` parser at iter {it} (seed {seed});\n\
+                        "fuzz_inputs: PANIC in `{}` target at iter {it} (seed {seed});\n\
                          reproduce with --iters {} --seed {seed}\n\
                          --- mutant ({} bytes) ---\n{}",
                         t.name,

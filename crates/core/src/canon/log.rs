@@ -24,7 +24,8 @@
 //! ```
 //!
 //! The CRC is the vendored CRC-32/IEEE below (zero dependencies, like the
-//! rest of the workspace). Each append is a single `write_all` of the
+//! rest of the workspace; slice-by-8, since replay checksums every byte of
+//! the log on boot). Each append is a single `write_all` of the
 //! fully assembled record, so the only failure mode a process kill can
 //! leave behind is a *torn tail* — a record whose header or payload is
 //! incomplete.
@@ -75,10 +76,12 @@ const FIXED_PAYLOAD: usize = 28;
 /// and must not drive an allocation.
 const MAX_PAYLOAD: usize = 1 << 30;
 
-/// CRC-32/IEEE lookup table, built at compile time (polynomial
-/// `0xEDB88320`, the reflected form used by zip/png/ethernet).
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32/IEEE slice-by-8 lookup tables, built at compile time
+/// (polynomial `0xEDB88320`, the reflected form used by zip/png/ethernet).
+/// `CRC_TABLES[0]` is the bytewise table; `CRC_TABLES[k][b]` is the CRC
+/// of byte `b` followed by `k` zero bytes, so one step folds in 8 bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -87,18 +90,43 @@ const CRC_TABLE: [u32; 256] = {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32/IEEE of `bytes` (check value: `crc32(b"123456789") ==
-/// 0xCBF4_3926`).
+/// 0xCBF4_3926`), eight bytes per table step. Replay checksums the whole
+/// log, so this runs over every byte of it on boot.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in chunks.by_ref() {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -317,6 +345,39 @@ mod tests {
         // the standard CRC-32/IEEE check value
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time CRC the slice-by-8 loop replaced.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_slice_by_8_matches_the_bytewise_loop() {
+        use ghd_prng::{Rng, Xoshiro256PlusPlus};
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(32);
+        let mut bytes = |len: usize| -> Vec<u8> { (0..len).map(|_| rng.next_u64().to_le_bytes()[0]).collect() };
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        // every length up to 64, so every split into 8-byte steps and a tail
+        for len in 0..=64 {
+            let buf = bytes(len);
+            assert_eq!(crc32(&buf), crc32_bytewise(&buf), "length {len}");
+        }
+        // sub-slices at every alignment
+        let buf = bytes(200);
+        for start in 0..16 {
+            for end in [start, start + 1, start + 7, start + 8, start + 9, 100, 183, 200] {
+                let s = &buf[start..end];
+                assert_eq!(crc32(s), crc32_bytewise(s), "bytes {start}..{end}");
+            }
+        }
+        let big = bytes(3 << 20);
+        assert_eq!(crc32(&big), crc32_bytewise(&big), "3 MB");
+        assert_eq!(crc32(&big[3..]), crc32_bytewise(&big[3..]), "3 MB from offset 3");
     }
 
     #[test]

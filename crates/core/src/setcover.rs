@@ -221,14 +221,23 @@ fn greedy_over<R: Rng + ?Sized>(
 ) -> Vec<usize> {
     let mut uncovered = target.clone();
     let mut chosen = Vec::new();
+    // the candidates of largest gain this round, in index order; one
+    // buffer for every round
+    let mut tied: Vec<usize> = Vec::new();
     while !uncovered.is_empty() {
-        let gains: Vec<usize> = cands
-            .iter()
-            .map(|(_, r)| r.intersection_len(&uncovered))
-            .collect();
-        let best = *gains.iter().max().expect("target not coverable");
+        let mut best = 0;
+        tied.clear();
+        for (i, (_, r)) in cands.iter().enumerate() {
+            let gain = r.intersection_len(&uncovered);
+            if gain > best {
+                best = gain;
+                tied.clear();
+            }
+            if gain == best {
+                tied.push(i);
+            }
+        }
         assert!(best > 0, "target not coverable by hypergraph edges");
-        let tied: Vec<usize> = (0..cands.len()).filter(|&i| gains[i] == best).collect();
         let pick = match rng.as_deref_mut() {
             Some(r) => tied[r.random_range(0..tied.len())],
             None => tied[0],
