@@ -2,14 +2,16 @@
 //! eliminate/restore machinery (§5.2.1), ordering evaluation (Figs 6.2 and
 //! 7.1), set covering (plain and memoized), the lower-bound heuristics and
 //! the GA operators; the root bounds also on ~1000-vertex circuit primal
-//! graphs.
+//! graphs, and the per-node lower bound on elimination residuals.
 //!
 //! Driven by the dependency-free median-of-N harness in
 //! `ghd_bench::timer` (the offline build has no criterion). Pass a
 //! substring to filter: `cargo bench --bench micro -- set_cover`.
 
 use ghd_bench::timer::Harness;
-use ghd_bounds::lower::{degeneracy, minor_gamma_r, minor_min_width};
+use ghd_bounds::lower::{
+    degeneracy, minor_gamma_r, minor_min_width, tw_lower_bound_elim, LbScratch,
+};
 use ghd_bounds::upper::min_fill_ordering;
 use ghd_bounds::{ghw_lower_bound, ghw_upper_bound};
 use ghd_core::bucket::{bucket_elimination, ghd_from_ordering, vertex_elimination};
@@ -20,6 +22,7 @@ use ghd_ga::{CrossoverOp, MutationOp};
 use ghd_hypergraph::generators::{graphs, hypergraphs};
 use ghd_hypergraph::{BitSet, EliminationGraph, Hypergraph};
 use ghd_prng::rngs::StdRng;
+use ghd_prng::RngExt;
 use std::hint::black_box;
 
 fn bench_eliminate_restore(h: &mut Harness) {
@@ -119,6 +122,9 @@ fn bench_root_bounds_at_scale(hn: &mut Harness) {
         hn.bench(&format!("lb/minor_gamma_r/{name}"), || {
             black_box(minor_gamma_r::<StdRng>(black_box(&g), None));
         });
+        hn.bench(&format!("lb/degeneracy/{name}"), || {
+            black_box(degeneracy(black_box(&g)));
+        });
         hn.bench(&format!("ub/min_fill/{name}"), || {
             black_box(min_fill_ordering::<StdRng>(black_box(&g), None));
         });
@@ -127,6 +133,37 @@ fn bench_root_bounds_at_scale(hn: &mut Harness) {
         });
         hn.bench(&format!("ub/ghw_upper_bound/{name}"), || {
             black_box(ghw_upper_bound::<StdRng>(black_box(&h), None));
+        });
+    }
+}
+
+/// The exact searches' per-node lower bound: `tw_lower_bound_elim` over
+/// 200 seeded residuals (a third of the vertices eliminated at random),
+/// all through one reused scratch, as A\* and BB call it. One iteration
+/// is the whole batch of 200 calls.
+fn bench_node_lower_bound(hn: &mut Harness) {
+    for (name, g) in [
+        ("queen_5", graphs::queen(5)),
+        ("gnm_40_200", graphs::gnm_random(40, 200, 1)),
+    ] {
+        let n = g.num_vertices();
+        let mut pick = StdRng::seed_from_u64(9);
+        let residuals: Vec<EliminationGraph> = (0..200)
+            .map(|_| {
+                let mut eg = EliminationGraph::new(&g);
+                for _ in 0..n / 3 {
+                    let alive: Vec<usize> = eg.alive().iter().collect();
+                    eg.eliminate(alive[pick.random_range(0..alive.len())]);
+                }
+                eg
+            })
+            .collect();
+        let mut scratch = LbScratch::new();
+        let label = format!("lb/tw_lower_bound_elim/{name} (200 residuals)");
+        hn.bench(&label, || {
+            for eg in &residuals {
+                black_box(tw_lower_bound_elim::<StdRng>(eg, None, &mut scratch));
+            }
         });
     }
 }
@@ -225,6 +262,7 @@ fn main() {
     bench_lower_bounds(&mut hn);
     bench_upper_bounds(&mut hn);
     bench_root_bounds_at_scale(&mut hn);
+    bench_node_lower_bound(&mut hn);
     bench_certification(&mut hn);
     bench_ga_operators(&mut hn);
     bench_csp_joins(&mut hn);

@@ -8,23 +8,113 @@
 use ghd_hypergraph::{BitSet, EliminationGraph, Graph};
 use ghd_prng::{Rng, RngExt};
 
+/// Live vertices bucketed by degree: one bit set per degree, a pointer at
+/// or below the lowest non-empty bucket, and a live count. The
+/// minimum-degree vertices are read off in ascending order without a scan
+/// of every live vertex, as `mcs_ordering` reads its weight buckets.
+///
+/// Buckets are sized lazily: after a [`fill`](Self::fill) only buckets
+/// `..used` belong to the current load, and a bucket is re-dimensioned the
+/// first time a degree reaches it, so a reused queue never clears buckets
+/// the current graph does not reach.
+#[derive(Default)]
+pub(crate) struct DegreeQueue {
+    buckets: Vec<BitSet>,
+    used: usize,
+    min: usize,
+    live: usize,
+    n: usize,
+}
+
+impl DegreeQueue {
+    /// Refills the queue with the vertices `0..deg.len()`, vertex `v`
+    /// under degree `deg[v]`.
+    pub(crate) fn fill(&mut self, deg: &[usize]) {
+        self.n = deg.len();
+        self.used = 0;
+        self.min = usize::MAX;
+        self.live = 0;
+        for (v, &d) in deg.iter().enumerate() {
+            self.push(v, d);
+        }
+    }
+
+    /// Adds live vertex `v` with degree `d`.
+    fn push(&mut self, v: usize, d: usize) {
+        while self.used <= d {
+            match self.buckets.get_mut(self.used) {
+                Some(b) => b.reset(self.n),
+                None => self.buckets.push(BitSet::new(self.n)),
+            }
+            self.used += 1;
+        }
+        self.buckets[d].insert(v);
+        self.live += 1;
+        self.min = self.min.min(d);
+    }
+
+    /// Drops live vertex `v`, whose degree is `d`.
+    pub(crate) fn remove(&mut self, v: usize, d: usize) {
+        debug_assert!(d < self.used, "vertex {v}: degree {d} has no bucket");
+        let present = self.buckets[d].remove(v);
+        debug_assert!(present, "vertex {v} is not in the bucket of its degree {d}");
+        self.live -= 1;
+    }
+
+    /// Moves live vertex `v` from degree `old` to degree `new`.
+    pub(crate) fn moved(&mut self, v: usize, old: usize, new: usize) {
+        if old != new {
+            self.remove(v, old);
+            self.push(v, new);
+        }
+    }
+
+    /// The number of live vertices.
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Raises `min` to the lowest non-empty bucket; `false` once no vertex
+    /// is live.
+    fn settle(&mut self) -> bool {
+        if self.live == 0 {
+            return false;
+        }
+        while self.buckets[self.min].is_empty() {
+            self.min += 1;
+        }
+        true
+    }
+
+    /// The minimum degree and its bucket, or `None` once no vertex is live.
+    pub(crate) fn min_bucket(&mut self) -> Option<(usize, &BitSet)> {
+        self.settle().then(|| (self.min, &self.buckets[self.min]))
+    }
+
+    /// Every live vertex by ascending degree, ascending within a degree:
+    /// the order a stable sort of `0..n` by degree gives.
+    fn ascending(&mut self) -> impl Iterator<Item = usize> + '_ {
+        self.settle();
+        self.buckets[self.min.min(self.used)..self.used]
+            .iter()
+            .flat_map(BitSet::iter)
+    }
+}
+
 /// Reusable buffers for the minor-based lower bounds, so that per-node
 /// heuristic calls inside the exact searches allocate nothing in the steady
 /// state. One scratch serves any number of consecutive bound computations.
 ///
 /// `deg[v]` caches `adj[v].len()` for every loaded vertex: it is set once
 /// per load and kept exact by [`contract_into`], so no degree read ever
-/// popcounts a row.
+/// popcounts a row. `queue` holds the live vertices under those degrees.
 #[derive(Default)]
 pub struct LbScratch {
     adj: Vec<BitSet>,
     deg: Vec<usize>,
-    alive: Vec<usize>,
+    queue: DegreeQueue,
     tied: Vec<usize>,
-    seq: Vec<usize>,
-    /// Per-degree counters of γ_R's counting sort.
-    counts: Vec<usize>,
-    /// The already-scanned prefix of γ_R's degree order.
+    /// The already-walked prefix of γ_R's degree order.
     prefix: BitSet,
 }
 
@@ -50,13 +140,13 @@ impl LbScratch {
             self.adj[v].copy_from(g.neighbors(v));
             self.deg[v] = g.degree(v);
         }
-        self.alive.clear();
-        self.alive.extend(0..n);
+        self.queue.fill(&self.deg[..n]);
     }
 
     /// Loads the contraction rows from the residual of an elimination graph,
     /// exactly as `load_graph(&eg.to_graph())` would — dead vertices become
-    /// isolated but stay in the alive list — without materialising the graph.
+    /// isolated but stay live, in bucket 0 — without materialising the
+    /// graph.
     fn load_elim(&mut self, eg: &EliminationGraph) {
         let n = eg.num_vertices();
         self.prepare(n);
@@ -68,27 +158,31 @@ impl LbScratch {
             self.adj[u].copy_from(eg.neighbors(u));
             self.deg[u] = eg.degree(u);
         }
-        self.alive.clear();
-        self.alive.extend(0..n);
+        self.queue.fill(&self.deg[..n]);
     }
 }
 
-/// Contracts the edge `(v, u)` into `u` and removes `v`, keeping `deg`
-/// exact from the membership changes `insert`/`remove` report.
-fn contract_into(adj: &mut [BitSet], deg: &mut [usize], alive: &mut Vec<usize>, v: usize, u: usize) {
+/// Contracts the edge `(v, u)` into `u` and removes `v`, which the caller
+/// has already taken off `queue`. `deg` stays exact from the membership
+/// changes `insert`/`remove` report, and exactly the vertices whose degree
+/// changed move bucket.
+fn contract_into(adj: &mut [BitSet], deg: &mut [usize], queue: &mut DegreeQueue, v: usize, u: usize) {
     let nv = std::mem::take(&mut adj[v]);
+    let old_u = deg[u];
     for w in nv.iter() {
+        let old_w = deg[w];
         deg[w] -= usize::from(adj[w].remove(v));
         if w != u {
             deg[w] += usize::from(adj[w].insert(u));
             deg[u] += usize::from(adj[u].insert(w));
+            queue.moved(w, old_w, deg[w]);
         }
     }
     adj[v] = nv;
     adj[v].clear();
     deg[v] = 0;
     deg[u] -= usize::from(adj[u].remove(u));
-    alive.retain(|&x| x != v);
+    queue.moved(u, old_u, deg[u]);
 }
 
 /// Picks one of `tied`: the first, or a uniformly random one when `rng` is
@@ -98,6 +192,21 @@ pub(crate) fn pick_tied<R: Rng + ?Sized>(tied: &[usize], rng: &mut Option<&mut R
         Some(r) => tied[r.random_range(0..tied.len())],
         None => tied[0],
     }
+}
+
+/// [`pick_tied`] over the elements of a nonempty `set` in ascending order;
+/// `tied` is a reusable buffer, filled only when `rng` is given.
+pub(crate) fn pick_in<R: Rng + ?Sized>(
+    set: &BitSet,
+    tied: &mut Vec<usize>,
+    rng: &mut Option<&mut R>,
+) -> usize {
+    if rng.is_none() {
+        return set.min().expect("nonempty");
+    }
+    tied.clear();
+    tied.extend(set.iter());
+    pick_tied(tied, rng)
 }
 
 /// Picks a minimum-degree neighbour of `v` (ties in ascending vertex order,
@@ -126,22 +235,20 @@ pub fn degeneracy(g: &Graph) -> usize {
     let n = g.num_vertices();
     let mut deg: Vec<usize> = (0..n).map(|v| g.degree(v)).collect();
     let mut deleted = vec![false; n];
-    let mut alive: Vec<usize> = (0..n).collect();
+    let mut queue = DegreeQueue::default();
+    queue.fill(&deg);
     let mut lb = 0;
-    while !alive.is_empty() {
-        let (idx, &v) = alive
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &v)| deg[v])
-            .expect("nonempty");
-        lb = lb.max(deg[v]);
+    while let Some((d, bucket)) = queue.min_bucket() {
+        let v = bucket.min().expect("nonempty");
+        lb = lb.max(d);
+        queue.remove(v, d);
         deleted[v] = true;
         for w in g.neighbors(v).iter() {
             if !deleted[w] {
+                queue.moved(w, deg[w], deg[w] - 1);
                 deg[w] -= 1;
             }
         }
-        alive.swap_remove(idx);
     }
     lb
 }
@@ -157,33 +264,29 @@ pub fn minor_min_width<R: Rng + ?Sized>(g: &Graph, rng: Option<&mut R>) -> usize
 }
 
 fn mmw_core<R: Rng + ?Sized>(scratch: &mut LbScratch, mut rng: Option<&mut R>) -> usize {
-    let LbScratch { adj, deg, alive, tied, .. } = scratch;
+    let LbScratch { adj, deg, queue, tied, .. } = scratch;
     let mut lb = 0;
-    while !alive.is_empty() {
-        // (a) minimum-degree vertex v
-        let min_deg = alive.iter().map(|&v| deg[v]).min().expect("nonempty");
-        tied.clear();
-        tied.extend(alive.iter().copied().filter(|&v| deg[v] == min_deg));
-        let v = pick_tied(tied, &mut rng);
+    // (a) minimum-degree vertex v, ties in ascending vertex order
+    while let Some((min_deg, bucket)) = queue.min_bucket() {
+        let v = pick_in(bucket, tied, &mut rng);
+        queue.remove(v, min_deg);
         // (b) record degree
         lb = lb.max(min_deg);
         // (a cont.) contract with minimum-degree neighbour
-        if min_deg == 0 {
-            alive.retain(|&x| x != v);
-            continue;
+        if min_deg > 0 {
+            let u = min_degree_neighbour(adj, deg, tied, v, &mut rng);
+            contract_into(adj, deg, queue, v, u);
         }
-        let u = min_degree_neighbour(adj, deg, tied, v, &mut rng);
-        contract_into(adj, deg, alive, v, u);
     }
     lb
 }
 
 /// Algorithm *minor-γ_R* (Fig 4.8): based on Ramachandramurthi's γ
-/// parameter. Each round sorts alive vertices by degree, finds the first
-/// vertex not adjacent to all of its predecessors, records its degree, and
-/// contracts it into its least-degree neighbour. If every vertex is adjacent
-/// to all predecessors the remaining graph is complete and contributes
-/// `n − 1`.
+/// parameter. Each round orders the live vertices by degree, finds the
+/// first vertex not adjacent to all of its predecessors, records its
+/// degree, and contracts it into its least-degree neighbour. If every
+/// vertex is adjacent to all predecessors the remaining graph is complete
+/// and contributes `n − 1`.
 pub fn minor_gamma_r<R: Rng + ?Sized>(g: &Graph, rng: Option<&mut R>) -> usize {
     let mut scratch = LbScratch::new();
     scratch.load_graph(g);
@@ -191,32 +294,16 @@ pub fn minor_gamma_r<R: Rng + ?Sized>(g: &Graph, rng: Option<&mut R>) -> usize {
 }
 
 fn gamma_r_core<R: Rng + ?Sized>(scratch: &mut LbScratch, mut rng: Option<&mut R>) -> usize {
-    let LbScratch { adj, deg, alive, tied, seq, counts, prefix } = scratch;
+    let LbScratch { adj, deg, queue, tied, prefix } = scratch;
     let mut lb = 0;
-    while !alive.is_empty() {
-        // (a) order by degree ascending: a stable counting sort, so equal
-        // degrees keep their `alive` order
-        let max_deg = alive.iter().map(|&v| deg[v]).max().expect("nonempty");
-        counts.clear();
-        counts.resize(max_deg + 2, 0);
-        for &v in alive.iter() {
-            counts[deg[v] + 1] += 1;
-        }
-        for d in 1..counts.len() {
-            counts[d] += counts[d - 1];
-        }
-        seq.clear();
-        seq.resize(alive.len(), 0);
-        for &v in alive.iter() {
-            seq[counts[deg[v]]] = v;
-            counts[deg[v]] += 1;
-        }
-        // (b) first vertex with a non-neighbour predecessor, i.e. whose
-        // predecessors are not all in its row (more than deg(v) of them
-        // cannot be)
+    while queue.len() > 0 {
+        // (a, b) walk the degree order (the buckets upward, each in
+        // ascending vertex order) to the first vertex with a non-neighbour
+        // predecessor, i.e. whose predecessors are not all in its row (more
+        // than deg(v) of them cannot be)
         prefix.clear();
         let mut found = None;
-        for (i, &v) in seq.iter().enumerate() {
+        for (i, v) in queue.ascending().enumerate() {
             if i > deg[v] || !prefix.is_subset(&adj[v]) {
                 found = Some(v);
                 break;
@@ -225,18 +312,17 @@ fn gamma_r_core<R: Rng + ?Sized>(scratch: &mut LbScratch, mut rng: Option<&mut R
         }
         let Some(v) = found else {
             // complete graph: γ = n − 1, nothing further to contract
-            lb = lb.max(alive.len() - 1);
+            lb = lb.max(queue.len() - 1);
             break;
         };
         // (c,e) γ_R = degree(v)
         lb = lb.max(deg[v]);
+        queue.remove(v, deg[v]);
         // (d) contract with minimum-degree neighbour
-        if deg[v] == 0 {
-            alive.retain(|&x| x != v);
-            continue;
+        if deg[v] > 0 {
+            let u = min_degree_neighbour(adj, deg, tied, v, &mut rng);
+            contract_into(adj, deg, queue, v, u);
         }
-        let u = min_degree_neighbour(adj, deg, tied, v, &mut rng);
-        contract_into(adj, deg, alive, v, u);
     }
     lb
 }
@@ -372,6 +458,19 @@ mod tests {
                 "mmw mismatch, seed {seed}"
             );
         }
+    }
+
+    #[test]
+    fn a_contraction_past_the_initial_maximum_grows_the_queue() {
+        // K_{3,5}: maximum degree 5; the first contraction puts leaf 3 into
+        // hub 0, which gains hubs 1 and 2 and reaches degree 6
+        let g = Graph::from_edges(8, (0..3).flat_map(|a| (3..8).map(move |l| (a, l))));
+        let mut scratch = LbScratch::new();
+        scratch.load_graph(&g);
+        assert_eq!(scratch.queue.used, 6);
+        assert_eq!(mmw_core::<StdRng>(&mut scratch, None), 3);
+        assert!(scratch.queue.used > 6, "no bucket past degree 5 was made");
+        assert_eq!(scratch.queue.len(), 0);
     }
 
     #[test]

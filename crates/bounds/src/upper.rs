@@ -2,7 +2,7 @@
 //! the thesis' A\*/BB algorithms for the initial upper bound), min-degree,
 //! and maximum cardinality search.
 
-use crate::lower::pick_tied;
+use crate::lower::{pick_in, pick_tied, DegreeQueue};
 use ghd_core::eval::{GhwEvaluator, TwEvaluator};
 use ghd_core::EliminationOrdering;
 use ghd_hypergraph::{BitSet, EliminationGraph, Graph, Hypergraph};
@@ -68,7 +68,9 @@ pub fn min_fill_ordering<R: Rng + ?Sized>(g: &Graph, mut rng: Option<&mut R>) ->
 }
 
 /// The min-degree heuristic: like min-fill but keyed on current degree.
-/// Degrees are cached; an elimination changes only its neighbours' degrees.
+/// Live vertices sit in a degree bucket queue (ties in ascending vertex
+/// order, as a scan of the live set gives them); an elimination moves only
+/// its neighbours, the only vertices whose degree changes.
 pub fn min_degree_ordering<R: Rng + ?Sized>(
     g: &Graph,
     mut rng: Option<&mut R>,
@@ -76,18 +78,23 @@ pub fn min_degree_ordering<R: Rng + ?Sized>(
     let n = g.num_vertices();
     let mut eg = EliminationGraph::new(g);
     let mut deg: Vec<usize> = (0..n).map(|v| g.degree(v)).collect();
+    let mut queue = DegreeQueue::default();
+    queue.fill(&deg);
     let mut nb = Vec::new();
     let mut tied = Vec::new();
     let mut order = vec![0usize; n];
     for pos in (0..n).rev() {
-        let v = argmin_tie(eg.alive().iter().map(|v| (v, deg[v])), &mut tied, &mut rng)
-            .expect("alive vertex exists");
+        let (d, bucket) = queue.min_bucket().expect("alive vertex exists");
+        let v = pick_in(bucket, &mut tied, &mut rng);
+        queue.remove(v, d);
         order[pos] = v;
         nb.clear();
         nb.extend(eg.neighbors(v).iter());
         eg.eliminate(v);
         for &u in &nb {
-            deg[u] = eg.degree(u);
+            let d = eg.degree(u);
+            queue.moved(u, deg[u], d);
+            deg[u] = d;
         }
     }
     EliminationOrdering::new(order).expect("permutation by construction")
@@ -113,9 +120,7 @@ pub fn mcs_ordering<R: Rng + ?Sized>(g: &Graph, mut rng: Option<&mut R>) -> Elim
         while buckets[max_w].is_empty() {
             max_w -= 1;
         }
-        tied.clear();
-        tied.extend(buckets[max_w].iter());
-        let v = pick_tied(&tied, &mut rng);
+        let v = pick_in(&buckets[max_w], &mut tied, &mut rng);
         numbered[v] = true;
         buckets[max_w].remove(v);
         order.push(v);

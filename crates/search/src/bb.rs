@@ -564,22 +564,27 @@ pub(crate) fn solve<M: Measure>(
 /// Reconstructs the ordering [`solve`] reports for a *proven* `width`: the
 /// rerun with `ub = width + 1` stops at its first improvement, the
 /// DFS-first optimal state — whose suffix the full search reports last.
-/// Returns it (`None` if the budget expired first) and the nodes expanded.
+/// `(ub, order)` is the root's heuristic upper bound over `n` vertices and
+/// its ordering; `root_lb` is computed only when the rerun has to search.
+/// Returns the ordering (`None` if the budget expired first) and the nodes
+/// expanded.
 pub(crate) fn witness<M: Measure>(
-    root: Root,
+    n: usize,
+    (ub, order): (usize, EliminationOrdering),
+    root_lb: impl FnOnce() -> usize,
     width: usize,
     budget: &Budget,
     measure: impl FnOnce() -> M,
 ) -> (Option<Vec<usize>>, u64) {
-    if root.n <= 1 || width >= root.ub {
+    let order = order.into_vec();
+    if n <= 1 || width >= ub {
         // the heuristic ordering is what the sequential search emits when
         // it cannot improve on the heuristic
-        return (Some(root.order), 0);
+        return (Some(order), 0);
     }
     let m = measure();
-    let dfs = Dfs::witness(&m, budget, width, root.lb);
-    let ordering =
-        (dfs.found == width).then(|| complete_ordering(root.n, &dfs.best_suffix, root.order));
+    let dfs = Dfs::witness(&m, budget, width, root_lb());
+    let ordering = (dfs.found == width).then(|| complete_ordering(n, &dfs.best_suffix, order));
     (ordering, dfs.ticker.nodes())
 }
 

@@ -319,9 +319,12 @@ impl Measure for Ghw<'_> {
     }
 }
 
+fn root_lb(h: &Hypergraph) -> usize {
+    ghd_bounds::ksc::ghw_lower_bound::<StdRng>(h, None)
+}
+
 fn root(h: &Hypergraph) -> Root {
-    let lb = ghd_bounds::ksc::ghw_lower_bound::<StdRng>(h, None);
-    Root::new(h.num_vertices(), lb, ghw_upper_bound::<StdRng>(h, None))
+    Root::new(h.num_vertices(), root_lb(h), ghw_upper_bound::<StdRng>(h, None))
 }
 
 /// Computes the generalized hypertree width of `h` by branch and bound
@@ -350,7 +353,10 @@ pub fn witness_ghw(
     cfg: &BbGhwConfig,
     budget: &Budget,
 ) -> (Option<Vec<usize>>, u64) {
-    bb::witness(root(h), width, budget, || Ghw::new(h, cfg))
+    let upper = ghw_upper_bound::<StdRng>(h, None);
+    bb::witness(h.num_vertices(), upper, || root_lb(h), width, budget, || {
+        Ghw::new(h, cfg)
+    })
 }
 
 /// Work-stealing parallel BB-ghw; the ghw twin of

@@ -107,9 +107,12 @@ impl Measure for Tw<'_> {
     }
 }
 
+fn root_lb(g: &Graph) -> usize {
+    tw_lower_bound::<StdRng>(g, None)
+}
+
 fn root(g: &Graph) -> Root {
-    let lb = tw_lower_bound::<StdRng>(g, None);
-    Root::new(g.num_vertices(), lb, tw_upper_bound::<StdRng>(g, None))
+    Root::new(g.num_vertices(), root_lb(g), tw_upper_bound::<StdRng>(g, None))
 }
 
 /// Computes the treewidth of `g` by branch and bound. Anytime: with limits,
@@ -140,7 +143,8 @@ pub fn witness_tw(
     cfg: &BbConfig,
     budget: &Budget,
 ) -> (Option<Vec<usize>>, u64) {
-    bb::witness(root(g), width, budget, || Tw { g, cfg })
+    let upper = tw_upper_bound::<StdRng>(g, None);
+    bb::witness(g.num_vertices(), upper, || root_lb(g), width, budget, || Tw { g, cfg })
 }
 
 /// Work-stealing parallel BB-tw (`0` threads = all cores) on one shared

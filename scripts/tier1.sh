@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 gate: offline build, full test suite (plus an assertions-on
-# release pass for the search crates), workspace-wide lint, the parser
-# fuzz smoke gate, and the two self-asserting benches (search cover cache,
-# CSP relation engine). Run from anywhere; exits non-zero on the first
+# release pass for the search and bounds crates and the bounds oracles),
+# workspace-wide lint, the parser fuzz smoke gate, and the two
+# self-asserting benches (search cover cache, CSP relation engine). Run from anywhere; exits non-zero on the first
 # failure.
 set -eu
 
@@ -16,6 +16,10 @@ cargo test --offline -q --workspace
 
 echo "==> cargo test (search crates, release optimisation + debug assertions)"
 cargo test --offline -q --profile relassert -p ghd-par -p ghd-search -p ghd-ga -p ghd-serve
+
+echo "==> cargo test (bounds crate + root bounds oracles, release optimisation + debug assertions)"
+cargo test --offline -q --profile relassert -p ghd-bounds
+cargo test --offline -q --profile relassert -p ghd --test bounds_differential
 
 echo "==> clippy -D warnings (whole workspace, all targets)"
 cargo clippy --offline -q --workspace --all-targets -- -D warnings

@@ -12,7 +12,12 @@
 //! eliminations (dead vertices present); the primal graphs of
 //! `ghd gen adder 150` and `ghd gen bridge 80`, in generator and file
 //! numbering; and hypergraphs with empty and duplicate edges for the
-//! contained-edge scan. A failing case names its input and seed.
+//! contained-edge scan. The degree bucket queue behind the minor bounds,
+//! degeneracy and min-degree is stressed by graphs whose contractions
+//! raise a degree above the initial maximum (complete bipartite `K_{t,n}`),
+//! wheels and stars, isolated vertices, `n = 0` and `n = 1`, and residuals
+//! of the `adder 200` primal with more than half the vertices dead. A
+//! failing case names its input and seed.
 
 use ghd::bounds::{
     degeneracy, ghw_upper_bound, mcs_ordering, min_degree_ordering, min_fill_ordering,
@@ -248,8 +253,8 @@ fn oracle_uncontained_edges(h: &Hypergraph) -> Vec<usize> {
 fn agree<T: PartialEq + std::fmt::Debug>(
     what: &str,
     case: &str,
-    new: impl Fn(Option<&mut StdRng>) -> T,
-    old: impl Fn(Option<&mut StdRng>) -> T,
+    mut new: impl FnMut(Option<&mut StdRng>) -> T,
+    mut old: impl FnMut(Option<&mut StdRng>) -> T,
 ) {
     assert_eq!(new(None), old(None), "{what} on {case}, rng = None");
     for seed in [1u64, 0x5EED] {
@@ -491,4 +496,119 @@ fn contained_edge_scan_matches_the_oracle() {
             "contained-edge scan on {case}"
         );
     }
+}
+
+/// The residual checks for one elimination graph, all through the shared
+/// `scratch`: both `_elim` bounds with and without an rng (value and next
+/// draw), and γ_R alone, rng-driven, on the residual's materialised graph.
+fn check_residual(case: &str, eg: &EliminationGraph, scratch: &mut LbScratch) {
+    let residual = eg.to_graph();
+    agree(
+        "minor_min_width_elim",
+        case,
+        |r| minor_min_width_elim(eg, r, scratch),
+        |r| oracle_mmw(&residual, r),
+    );
+    agree(
+        "tw_lower_bound_elim",
+        case,
+        |r| tw_lower_bound_elim(eg, r, scratch),
+        |r| oracle_tw_lower_bound(&residual, r),
+    );
+    agree(
+        "minor_gamma_r on the residual",
+        case,
+        |r| minor_gamma_r(&residual, r),
+        |r| oracle_gamma_r(&residual, r),
+    );
+}
+
+/// `K_{t,n}`: hubs `0..t`, leaves `t..t + n`.
+fn complete_bipartite(t: usize, n: usize) -> Graph {
+    Graph::from_edges(t + n, (0..t).flat_map(|a| (t..t + n).map(move |l| (a, l))))
+}
+
+/// `W_n`: hub 0 on the cycle `1..=n`.
+fn wheel(n: usize) -> Graph {
+    Graph::from_edges(
+        n + 1,
+        (1..=n).flat_map(|v| [(0, v), (v, if v == n { 1 } else { v + 1 })]),
+    )
+}
+
+/// `K_{1,n}`: centre 0, leaves `1..=n`.
+fn star(n: usize) -> Graph {
+    Graph::from_edges(n + 1, (1..=n).map(|l| (0, l)))
+}
+
+/// `g` with `k` isolated vertices interleaved at the odd ids below `2k`.
+fn with_isolated(g: &Graph, k: usize) -> Graph {
+    let at = |v: usize| if v < k { 2 * v } else { v + k };
+    let n = g.num_vertices();
+    Graph::from_edges(
+        n + k,
+        (0..n).flat_map(|u| g.neighbors(u).iter().filter(move |&v| u < v).map(move |v| (at(u), at(v)))),
+    )
+}
+
+fn bucket_stress_graphs() -> Vec<(String, Graph)> {
+    let mut out = Vec::new();
+    // for t >= 3 the first minor-min-width contraction puts a leaf into a
+    // hub of degree n, which gains the other t - 1 hubs: degree n + t - 2
+    for t in 2..=4 {
+        for n in [5usize, 12, 40] {
+            out.push((format!("K_{{{t},{n}}}"), complete_bipartite(t, n)));
+        }
+    }
+    for n in [3usize, 5, 9, 20] {
+        out.push((format!("wheel({n})"), wheel(n)));
+    }
+    for n in [1usize, 5, 30] {
+        out.push((format!("star({n})"), star(n)));
+    }
+    out.push(("single(1)".into(), Graph::new(1)));
+    out.push(("empty(0)".into(), Graph::new(0)));
+    out.push(("K_{3,12} + 5 isolated".into(), with_isolated(&complete_bipartite(3, 12), 5)));
+    out.push(("wheel(9) + 4 isolated".into(), with_isolated(&wheel(9), 4)));
+    out.push(("queen(5) + 3 isolated".into(), with_isolated(&graphs::queen(5), 3)));
+    out.push(("complete(6) + 6 isolated".into(), with_isolated(&graphs::complete(6), 6)));
+    out
+}
+
+#[test]
+fn bucket_stress_graphs_match_the_oracles() {
+    let mut scratch = LbScratch::new();
+    for (case, g) in bucket_stress_graphs() {
+        check_graph(&case, &g);
+        let n = g.num_vertices();
+        let mut eg = EliminationGraph::new(&g);
+        check_residual(&format!("{case} (nothing eliminated)"), &eg, &mut scratch);
+        let mut pick = StdRng::seed_from_u64(n as u64 + 17);
+        for _ in 0..n / 2 {
+            let alive: Vec<usize> = eg.alive().iter().collect();
+            eg.eliminate(alive[pick.random_range(0..alive.len())]);
+        }
+        check_residual(&format!("{case} after {} eliminations", n / 2), &eg, &mut scratch);
+    }
+}
+
+#[test]
+fn adder_200_residual_matches_the_oracles() {
+    // 601 of the 1001 vertices dead: they load as isolated rows and fill
+    // bucket 0. The shared scratch serves a small graph before and after
+    // the large residual, so its buckets are re-dimensioned both ways.
+    let g = hypergraphs::adder(200).primal_graph();
+    let n = g.num_vertices();
+    let wheel = wheel(9);
+    let mut scratch = LbScratch::new();
+    check_residual("wheel(9) before the adder residual", &EliminationGraph::new(&wheel), &mut scratch);
+    let mut eg = EliminationGraph::new(&g);
+    let mut pick = StdRng::seed_from_u64(200);
+    let dead = n * 3 / 5;
+    for _ in 0..dead {
+        let alive: Vec<usize> = eg.alive().iter().collect();
+        eg.eliminate(alive[pick.random_range(0..alive.len())]);
+    }
+    check_residual(&format!("adder 200 after {dead} eliminations"), &eg, &mut scratch);
+    check_residual("wheel(9) after the adder residual", &EliminationGraph::new(&wheel), &mut scratch);
 }
