@@ -14,7 +14,9 @@ use ghd_bounds::lower::{
 };
 use ghd_bounds::upper::min_fill_ordering;
 use ghd_bounds::{ghw_lower_bound, ghw_upper_bound};
-use ghd_core::bucket::{bucket_elimination, ghd_from_ordering, vertex_elimination};
+use ghd_core::bucket::{
+    bucket_elimination, certificate_from_ordering, ghd_from_ordering, vertex_elimination,
+};
 use ghd_core::eval::{GhwEvaluator, TwEvaluator};
 use ghd_core::setcover::{exact_cover, greedy_cover, CoverCache};
 use ghd_core::{CoverMethod, EliminationOrdering};
@@ -169,11 +171,14 @@ fn bench_node_lower_bound(hn: &mut Harness) {
 }
 
 /// Certification of a ghw answer (§2.5.2 / Theorem 3): the GHD an ordering
-/// induces with exact covers, and its Definition 13 check, on `clique 50`
-/// (a 50-vertex root bag meeting all 1225 edges) and `adder 200`; the
-/// min-fill ordering stands in for the certified one.
+/// induces with an exact cover of every bag (what `--show` prints), the
+/// certificate that covers only the bags that can set the width, and the
+/// Definition 13 check, on `clique 40`/`clique 50` (one bag meeting every
+/// edge holds all the others) and `adder 200`; the min-fill ordering
+/// stands in for the certified one.
 fn bench_certification(hn: &mut Harness) {
     for (name, h) in [
+        ("clique_40", hypergraphs::clique(40)),
         ("clique_50", hypergraphs::clique(50)),
         ("adder_200", hypergraphs::adder(200)),
     ] {
@@ -181,11 +186,46 @@ fn bench_certification(hn: &mut Harness) {
         hn.bench(&format!("certify/ghd_from_ordering_exact/{name}"), || {
             black_box(ghd_from_ordering(black_box(&h), &sigma, CoverMethod::Exact));
         });
+        hn.bench(&format!("certify/certificate_from_ordering/{name}"), || {
+            black_box(certificate_from_ordering(black_box(&h), &sigma));
+        });
         let ghd = ghd_from_ordering(&h, &sigma, CoverMethod::Exact);
         hn.bench(&format!("certify/ghd_verify/{name}"), || {
             black_box(black_box(&ghd).verify(&h)).expect("valid GHD");
         });
     }
+}
+
+/// The split search on 24 queen(4) blocks glued into a chain at seeded cut
+/// vertices: one distinct block, so one block search plus the witness.
+fn bench_split(hn: &mut Harness) {
+    let q = graphs::queen(4);
+    let k = q.num_vertices();
+    let mut rng = StdRng::seed_from_u64(24);
+    let mut g = ghd_hypergraph::Graph::new(24 * (k - 1) + 1);
+    let mut prev: Vec<usize> = (0..k).collect();
+    for (u, v) in q.edges() {
+        g.add_edge(u, v);
+    }
+    for b in 1..24 {
+        let ids: Vec<usize> = (0..k)
+            .map(|i| {
+                if i == 0 {
+                    prev[rng.random_range(0..k)]
+                } else {
+                    b * (k - 1) + i
+                }
+            })
+            .collect();
+        for (u, v) in q.edges() {
+            g.add_edge(ids[u], ids[v]);
+        }
+        prev = ids;
+    }
+    let cfg = ghd_search::BbConfig::default();
+    hn.bench("split_tw/chain_24_queen_4", || {
+        black_box(ghd_search::split_tw(black_box(&g), &cfg, 1, None));
+    });
 }
 
 fn bench_ga_operators(hn: &mut Harness) {
@@ -264,6 +304,7 @@ fn main() {
     bench_root_bounds_at_scale(&mut hn);
     bench_node_lower_bound(&mut hn);
     bench_certification(&mut hn);
+    bench_split(&mut hn);
     bench_ga_operators(&mut hn);
     bench_csp_joins(&mut hn);
     bench_preprocess_and_adaptive(&mut hn);

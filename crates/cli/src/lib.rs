@@ -23,7 +23,7 @@
 //! contents to an output string, so the test suite drives them directly.
 
 use ghd_bounds::{ghw_lower_bound, ghw_upper_bound, tw_lower_bound, tw_upper_bound};
-use ghd_core::bucket::ghd_from_ordering;
+use ghd_core::bucket::{certificate_from_ordering, ghd_from_ordering};
 use ghd_core::io::{parse_td, write_ghd, write_td};
 use ghd_core::{
     CoverMethod, EliminationOrdering, GeneralizedHypertreeDecomposition, TreeDecomposition,
@@ -429,16 +429,25 @@ fn certify_tw(
     Ok(td)
 }
 
-/// Self-certification for ghw claims: rebuilds a GHD from the ordering
-/// (exact covers), verifies Definition 13 against the hypergraph, and
-/// checks the claimed width is supported. See [`certify_tw`].
+/// Self-certification for ghw claims: rebuilds a GHD from the ordering,
+/// verifies Definition 13 against the hypergraph, and checks the claimed
+/// width is supported. See [`certify_tw`]. Only the bags that can set the
+/// width get their own exact cover ([`certificate_from_ordering`]); with
+/// `every_bag` (for `--show`, which prints each bag's own λ) every bag
+/// does. The width is the same either way.
 fn certify_ghw(
     h: &Hypergraph,
     ordering: &[usize],
     claimed: usize,
     exact: bool,
+    every_bag: bool,
 ) -> Result<GeneralizedHypertreeDecomposition, CmdError> {
-    let ghd = ghd_from_ordering(h, &permutation(ordering)?, CoverMethod::Exact);
+    let sigma = permutation(ordering)?;
+    let ghd = if every_bag {
+        ghd_from_ordering(h, &sigma, CoverMethod::Exact)
+    } else {
+        certificate_from_ordering(h, &sigma)
+    };
     ghd.verify(h).map_err(rejected)?;
     supports(ghd.width(), claimed, exact)?;
     Ok(ghd)
@@ -826,7 +835,7 @@ pub fn solve_ghw_text_with_store(
         };
         let cancelled = !r.exact && cancel.is_cancelled();
         let certified = certify(r.ordering.as_deref(), r.exact, |o| {
-            certify_ghw(&h, o, r.upper_bound, r.exact)
+            certify_ghw(&h, o, r.upper_bound, r.exact, false)
         })?
         .is_some();
         return Ok(SolveReport {
@@ -929,14 +938,15 @@ pub fn solve_ghw_text_with_store(
         other => return Err(CmdError::usage(format!("unknown method `{other}`"))),
     };
     // verify-on-emit: no width is printed unless its certificate passes
-    let ghd = certify(ordering.as_deref(), exact, |o| certify_ghw(&h, o, claimed, exact))?;
+    let show = flag(&opts, "show");
+    let ghd = certify(ordering.as_deref(), exact, |o| certify_ghw(&h, o, claimed, exact, show))?;
     let certified = ghd.is_some();
     let mut out = format!(
         "hypergraph: {} vertices, {} hyperedges\n{summary}\n",
         h.num_vertices(),
         h.num_edges()
     );
-    if flag(&opts, "show") {
+    if show {
         let ghd = ghd.ok_or("no ordering available to emit a decomposition")?;
         out.push_str(&write_ghd(&ghd, &h));
     }
@@ -1713,9 +1723,11 @@ mod tests {
         // same for the ghw certifier
         let h = hypergraphs::clique(6);
         let ordering: Vec<usize> = (0..h.num_vertices()).collect();
-        let e = certify_ghw(&h, &ordering, 1, true).unwrap_err();
-        assert_eq!(e.kind, ErrorKind::Internal);
-        assert!(e.to_string().contains("certificate rejected"), "{e}");
+        for every_bag in [false, true] {
+            let e = certify_ghw(&h, &ordering, 1, true, every_bag).unwrap_err();
+            assert_eq!(e.kind, ErrorKind::Internal);
+            assert!(e.to_string().contains("certificate rejected"), "{e}");
+        }
     }
 
     #[test]

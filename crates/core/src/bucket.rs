@@ -108,17 +108,33 @@ pub fn ghd_from_ordering(
     sigma: &EliminationOrdering,
     method: CoverMethod,
 ) -> GeneralizedHypertreeDecomposition {
+    GeneralizedHypertreeDecomposition::from_tree_decomposition(ordering_tree(h, sigma), h, method)
+}
+
+/// The elimination-tree decomposition of `σ` that [`ghd_from_ordering`]
+/// covers. Vertices in no hyperedge are unconstrained (isolated in the
+/// primal graph); condition 3 could never cover them, so they are dropped
+/// from the bags — harmless, since no hyperedge mentions them either.
+fn ordering_tree(h: &Hypergraph, sigma: &EliminationOrdering) -> TreeDecomposition {
     let mut td = vertex_elimination(&h.primal_graph(), sigma);
-    // Vertices in no hyperedge are unconstrained (isolated in the primal
-    // graph); condition 3 could never cover them, so they are dropped from
-    // the bags — harmless, since no hyperedge mentions them either.
     let covered = h.covered_vertices();
     if covered.len() < h.num_vertices() {
         for p in td.nodes() {
             td.bag_mut(p).intersect_with(&covered);
         }
     }
-    GeneralizedHypertreeDecomposition::from_tree_decomposition(td, h, method)
+    td
+}
+
+/// The GHD that certifies a ghw claim for `σ`: the tree of
+/// [`ghd_from_ordering`], with an exact cover only for the bags that can
+/// set the width ([`GeneralizedHypertreeDecomposition::certificate`]). Its
+/// width is that of `ghd_from_ordering(h, σ, CoverMethod::Exact)`.
+pub fn certificate_from_ordering(
+    h: &Hypergraph,
+    sigma: &EliminationOrdering,
+) -> GeneralizedHypertreeDecomposition {
+    GeneralizedHypertreeDecomposition::certificate(ordering_tree(h, sigma), h)
 }
 
 #[cfg(test)]
@@ -191,6 +207,33 @@ mod tests {
         let complete = ghd.complete(&h);
         complete.verify(&h).unwrap();
         assert!(complete.is_complete(&h));
+    }
+
+    #[test]
+    fn certificate_covers_fewer_bags_at_the_same_width() {
+        // clique(6): every bag of the elimination path is contained in the
+        // full bag, so only that one gets its own cover
+        let h = ghd_hypergraph::generators::hypergraphs::clique(6);
+        let sigma = EliminationOrdering::identity(6);
+        let cert = certificate_from_ordering(&h, &sigma);
+        cert.verify(&h).unwrap();
+        assert_eq!(
+            cert.width(),
+            ghd_from_ordering(&h, &sigma, CoverMethod::Exact).width()
+        );
+        let full = (0..6).find(|&p| cert.tree().bag(p).len() == 6).unwrap();
+        for p in cert.tree().nodes() {
+            assert_eq!(cert.lambda(p), cert.lambda(full), "bag {p}");
+        }
+        let mut rng = StdRng::seed_from_u64(5);
+        for seed in 0..20u64 {
+            let h = ghd_hypergraph::generators::hypergraphs::random_hypergraph(12, 9, 4, seed);
+            let sigma = EliminationOrdering::random(12, &mut rng);
+            let cert = certificate_from_ordering(&h, &sigma);
+            let every = ghd_from_ordering(&h, &sigma, CoverMethod::Exact);
+            cert.verify(&h).unwrap();
+            assert_eq!(cert.width(), every.width(), "seed {seed}");
+        }
     }
 
     #[test]

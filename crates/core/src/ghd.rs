@@ -1,7 +1,7 @@
 //! Generalized hypertree decompositions (Definition 13) and completion
 //! (Definition 14 / Lemma 2).
 
-use crate::setcover::{cover, CoverMethod};
+use crate::setcover::{cover, exact_cover, CoverMethod};
 use crate::tree_decomposition::{DecompositionError, TreeDecomposition};
 use ghd_hypergraph::{BitSet, Hypergraph};
 
@@ -34,6 +34,67 @@ impl GeneralizedHypertreeDecomposition {
         let lambda = td
             .nodes()
             .map(|p| cover(td.bag(p), h, method))
+            .collect();
+        GeneralizedHypertreeDecomposition { td, lambda }
+    }
+
+    /// Builds a GHD from a tree decomposition with an exact cover only for
+    /// the bags that can set the width; every other bag borrows the λ of a
+    /// tree neighbour whose bag contains it. A bag contained in its
+    /// parent's bag takes the parent's λ; failing that, a bag strictly
+    /// contained in a child's bag takes that child's λ. Along a chain of
+    /// borrows the bags grow under ⊆, strictly on every step down, so a
+    /// chain cannot return to its start (that would take parent steps
+    /// only) and ends at a bag with its own exact cover. Each borrowed λ
+    /// covers a superset of its bag, so Definition 13 holds exactly when it
+    /// holds with every bag covered, and exact cover size is monotone under
+    /// ⊆, so the width equals that of
+    /// `from_tree_decomposition(td, h, CoverMethod::Exact)`.
+    pub fn certificate(td: TreeDecomposition, h: &Hypergraph) -> Self {
+        let source: Vec<Option<usize>> = td
+            .nodes()
+            .map(|p| {
+                let bag = td.bag(p);
+                td.parent(p)
+                    .filter(|&q| bag.is_subset(td.bag(q)))
+                    .or_else(|| {
+                        td.children(p)
+                            .iter()
+                            .copied()
+                            .find(|&c| bag.is_subset(td.bag(c)) && bag.len() < td.bag(c).len())
+                    })
+            })
+            .collect();
+        let mut lambda: Vec<Option<Vec<usize>>> = vec![None; td.num_nodes()];
+        let mut chain = Vec::new();
+        for p in td.nodes() {
+            let mut q = p;
+            while lambda[q].is_none() {
+                match source[q] {
+                    Some(s) => {
+                        debug_assert!(
+                            td.bag(q).is_subset(td.bag(s)),
+                            "bag {q} borrows λ from bag {s}, which does not contain it"
+                        );
+                        chain.push(q);
+                        // cannot fire (see above); stops a bad borrow rule
+                        // with a panic instead of an endless walk
+                        assert!(
+                            chain.len() < td.num_nodes(),
+                            "λ borrow cycle through bag {q}"
+                        );
+                        q = s;
+                    }
+                    None => lambda[q] = Some(exact_cover(td.bag(q), h)),
+                }
+            }
+            for r in chain.drain(..) {
+                lambda[r] = lambda[q].clone();
+            }
+        }
+        let lambda = lambda
+            .into_iter()
+            .map(|l| l.expect("every borrow chain ends at a covered bag"))
             .collect();
         GeneralizedHypertreeDecomposition { td, lambda }
     }

@@ -326,8 +326,9 @@ fn prepend_decimal(buf: &mut [u8], mut end: usize, mut n: usize) -> usize {
 ///
 /// One left-to-right scan tokenises the text; names are borrowed slices
 /// of it, interned by content. Only an input holding a comment or a
-/// carriage return is first rewritten line by line (comments cut, CRLF
-/// folded to LF), since names may span lines and must not keep either.
+/// carriage return is first rewritten line by line (comments cut, each
+/// run of `\r` before a line break folded into it), since names may span
+/// lines and must not keep either.
 fn scan_hypergraph(
     input: &str,
     mut edge: impl FnMut(&str, &[usize], &[&str]),
@@ -463,7 +464,10 @@ pub fn canonical_hypergraph_text(input: &str) -> Result<String, ParseError> {
 }
 
 /// The input with every `%`/`#` comment cut and every line ended by a
-/// single `\n` (so CRLF input reads like LF input).
+/// single `\n`: the whole run of `\r` before each line break (or before a
+/// cut comment) goes with it, so CRLF input reads like LF input, and a
+/// name can never hold `\r\n`. The canonical text written from this is
+/// therefore a fixed point of parse-then-write.
 fn strip_comments(input: &str) -> String {
     let mut text = String::with_capacity(input.len() + 1);
     for line in input.lines() {
@@ -471,7 +475,7 @@ fn strip_comments(input: &str) -> String {
             Some(p) => &line[..p],
             None => line,
         };
-        text.push_str(line);
+        text.push_str(line.trim_end_matches('\r'));
         text.push('\n');
     }
     text
@@ -566,6 +570,20 @@ mod tests {
         assert_eq!(h.num_vertices(), 3);
         assert_eq!(h.num_edges(), 2);
         assert_eq!(h.vertex_by_name("y"), Some(1));
+    }
+
+    #[test]
+    fn carriage_return_runs_fold_into_the_line_break() {
+        // a name spanning lines keeps its line break, never a `\r` before it
+        for text in ["A(x\r\r\ny,z).", "A(x\r\ny,z).", "A(x\r%c\r\r\ny,z)."] {
+            let canon = canonical_hypergraph_text(text).unwrap();
+            assert_eq!(canon, "A(x\ny,z).\n", "{text:?}");
+            assert_eq!(canonical_hypergraph_text(&canon).unwrap(), canon);
+        }
+        // a `\r` that ends no line stays part of the name
+        let canon = canonical_hypergraph_text("A(x\ry,z).").unwrap();
+        assert_eq!(canon, "A(x\ry,z).\n");
+        assert_eq!(canonical_hypergraph_text(&canon).unwrap(), canon);
     }
 
     #[test]

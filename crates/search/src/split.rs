@@ -11,6 +11,13 @@
 //! contained-edge reductions are provably safe, so the ghw pipeline is
 //! restricted to those.
 //!
+//! Each distinct block is searched once: units are grouped by the canonical
+//! text of their compact block, one unit per group is solved (and probed
+//! in / admitted to a [`BlockStore`]), and every copy takes that answer
+//! with its ordering mapped through its own vertex list. Sequential BB on
+//! an identical compact block is deterministic, so a copy's answer is the
+//! one re-solving it would give.
+//!
 //! Determinism: blocks are enumerated canonically (sorted vertex lists, in
 //! order of smallest vertex), the fan-out preserves input order, and for
 //! exact runs the emitted ordering is re-derived by the sequential witness
@@ -32,6 +39,7 @@ use ghd_hypergraph::separators::{
 };
 use ghd_hypergraph::{BitSet, Graph, Hypergraph};
 use ghd_par::WorkerFault;
+use std::collections::HashMap;
 
 /// What detached a block from the rest of the instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -250,10 +258,13 @@ fn peel_ordering(g: &Graph, verts: &[usize], order: &[usize], defer: &[usize]) -
 // ---------------------------------------------------------------------------
 // treewidth pipeline
 
-/// One independently solved block (core vertex indices, sorted).
+/// One independently solved block (core vertex indices, sorted), with its
+/// compact induced subgraph and that subgraph's canonical text.
 struct Unit {
     verts: Vec<usize>,
     kind: SeparatorKind,
+    sub: Graph,
+    canon: String,
 }
 
 /// A biconnected block in component peel order: its clique atoms (unit
@@ -362,7 +373,14 @@ fn plan_tw(core: &Graph) -> Plan {
             let mut unit_ids = Vec::with_capacity(atoms.len());
             for verts in atoms {
                 unit_ids.push(units.len());
-                units.push(Unit { verts, kind });
+                let sub = induced(core, &verts);
+                let canon = format!("tw;{}", graph_canon(&sub));
+                units.push(Unit {
+                    verts,
+                    kind,
+                    sub,
+                    canon,
+                });
             }
             bccs.push(BccPlan {
                 verts: bverts,
@@ -375,7 +393,8 @@ fn plan_tw(core: &Graph) -> Plan {
     Plan { comps, units }
 }
 
-/// A solved unit: width interval plus an ordering in core indices.
+/// A solved unit: width interval plus an ordering in compact block indices
+/// (mapped to core or instance indices once every unit is solved).
 struct Solved {
     width: usize,
     lower_bound: usize,
@@ -386,51 +405,114 @@ struct Solved {
     stats: Option<SearchStats>,
 }
 
-fn solve_unit(
-    core: &Graph,
-    unit: &Unit,
-    cfg: &BbConfig,
-    budget: &Budget,
-    store: Option<&dyn BlockStore>,
-) -> Solved {
-    let sub = induced(core, &unit.verts);
-    let canon = store.map(|_| format!("tw;{}", graph_canon(&sub)));
-    if let (Some(s), Some(c)) = (store, canon.as_deref()) {
-        if let Some(hit) = s.probe(c) {
-            if hit.ordering.len() == unit.verts.len() {
-                return Solved {
-                    width: hit.width,
-                    lower_bound: hit.lower_bound,
-                    exact: true,
-                    ordering: hit.ordering.iter().map(|&i| unit.verts[i]).collect(),
-                    nodes: 0,
-                    cache_hit: true,
-                    stats: None,
-                };
-            }
+impl Solved {
+    /// The answer a copy of this unit's block reports: the same width
+    /// interval and compact ordering, with no search of its own.
+    fn copy(&self) -> Solved {
+        Solved {
+            width: self.width,
+            lower_bound: self.lower_bound,
+            exact: self.exact,
+            ordering: self.ordering.clone(),
+            nodes: 0,
+            cache_hit: false,
+            stats: None,
         }
     }
-    let r = bb_tw_budgeted(&sub, cfg, budget);
-    let ordering_c = r
-        .ordering
-        .unwrap_or_else(|| (0..sub.num_vertices()).collect());
-    if r.exact {
-        if let (Some(s), Some(c)) = (store, canon.as_deref()) {
-            s.admit(
-                c,
-                &BlockSolution {
-                    width: r.upper_bound,
-                    lower_bound: r.lower_bound,
-                    ordering: ordering_c.clone(),
-                },
-            );
+
+    /// Maps the compact ordering to the indices `verts` names.
+    fn map_ordering(&mut self, verts: &[usize]) {
+        for v in &mut self.ordering {
+            *v = verts[*v];
         }
+    }
+}
+
+/// Solves one unit per distinct canonical text over `threads` workers and
+/// gives every copy its representative's answer (see [`Solved::copy`]).
+/// A faulted representative is retried once on the caller, then
+/// `degrade`d, and its copies follow it. Fault task indices count the
+/// representatives in unit order.
+fn fan_out(
+    canons: &[&str],
+    threads: usize,
+    solve: impl Fn(usize) -> Solved + Sync,
+    degrade: impl Fn(usize) -> Solved,
+) -> (Vec<Solved>, Vec<WorkerFault>) {
+    let mut first: HashMap<&str, usize> = HashMap::with_capacity(canons.len());
+    let rep: Vec<usize> = canons
+        .iter()
+        .enumerate()
+        .map(|(u, c)| *first.entry(*c).or_insert(u))
+        .collect();
+    let distinct: Vec<usize> = (0..canons.len()).filter(|&u| rep[u] == u).collect();
+    let contained = ghd_par::parallel_map_contained(&distinct, threads, |&u| solve(u));
+    let mut faults: Vec<WorkerFault> = contained.faults;
+    let mut own: Vec<Option<Solved>> = (0..canons.len()).map(|_| None).collect();
+    for (i, slot) in contained.results.into_iter().enumerate() {
+        let u = distinct[i];
+        own[u] = Some(match slot {
+            Some(s) => s,
+            None => match ghd_par::run_contained(ghd_par::RETRY_WORKER, i, || solve(u)) {
+                Ok(s) => s,
+                Err(fault) => {
+                    faults.push(fault);
+                    degrade(u)
+                }
+            },
+        });
+    }
+    faults.sort_by_key(|f| f.task);
+    let mut solved: Vec<Solved> = Vec::with_capacity(canons.len());
+    for u in 0..canons.len() {
+        // a representative precedes its copies, so it is already in place
+        let s = match own[u].take() {
+            Some(s) => s,
+            None => solved[rep[u]].copy(),
+        };
+        solved.push(s);
+    }
+    (solved, faults)
+}
+
+/// Replays an exact block solution from `store`, or solves the block with
+/// `search` and admits an exact answer; the ordering stays compact.
+fn solve_block(
+    canon: &str,
+    k: usize,
+    store: Option<&dyn BlockStore>,
+    search: impl FnOnce() -> SearchResult,
+) -> Solved {
+    if let Some(hit) = store.and_then(|s| s.probe(canon)) {
+        if hit.ordering.len() == k {
+            return Solved {
+                width: hit.width,
+                lower_bound: hit.lower_bound,
+                exact: true,
+                ordering: hit.ordering,
+                nodes: 0,
+                cache_hit: true,
+                stats: None,
+            };
+        }
+    }
+    let r = search();
+    let ordering = r.ordering.unwrap_or_else(|| (0..k).collect());
+    if let (true, Some(s)) = (r.exact, store) {
+        s.admit(
+            canon,
+            &BlockSolution {
+                width: r.upper_bound,
+                lower_bound: r.lower_bound,
+                ordering: ordering.clone(),
+            },
+        );
     }
     Solved {
         width: r.upper_bound,
         lower_bound: r.lower_bound,
         exact: r.exact,
-        ordering: ordering_c.iter().map(|&i| unit.verts[i]).collect(),
+        ordering,
         nodes: r.nodes_expanded,
         cache_hit: false,
         stats: r.stats,
@@ -439,16 +521,15 @@ fn solve_unit(
 
 /// Sound stand-in for a block whose worker faulted twice: the identity
 /// ordering with its verified width, claimed inexact.
-fn degraded_unit(core: &Graph, unit: &Unit) -> Solved {
-    let sub = induced(core, &unit.verts);
-    let k = sub.num_vertices();
+fn degraded_unit(unit: &Unit) -> Solved {
+    let k = unit.sub.num_vertices();
     let sigma = EliminationOrdering::new((0..k).collect()).expect("identity is a permutation");
-    let width = TwEvaluator::new(&sub).width(&sigma);
+    let width = TwEvaluator::new(&unit.sub).width(&sigma);
     Solved {
         width,
         lower_bound: 0,
         exact: false,
-        ordering: unit.verts.clone(),
+        ordering: (0..k).collect(),
         nodes: 0,
         cache_hit: false,
         stats: None,
@@ -574,28 +655,22 @@ pub fn split_tw(
         return SplitOutcome { result, report };
     }
     report.split = true;
-    // fan the blocks out; a faulted block is retried once on the caller
-    let ids: Vec<usize> = (0..plan.units.len()).collect();
-    let contained = ghd_par::parallel_map_contained(&ids, threads, |&u| {
-        solve_unit(&pre.core, &plan.units[u], cfg, &budget, store)
-    });
-    let mut faults: Vec<WorkerFault> = contained.faults;
-    let mut solved: Vec<Solved> = Vec::with_capacity(plan.units.len());
-    for (i, slot) in contained.results.into_iter().enumerate() {
-        match slot {
-            Some(s) => solved.push(s),
-            None => match ghd_par::run_contained(ghd_par::RETRY_WORKER, i, || {
-                solve_unit(&pre.core, &plan.units[i], cfg, &budget, store)
-            }) {
-                Ok(s) => solved.push(s),
-                Err(fault) => {
-                    faults.push(fault);
-                    solved.push(degraded_unit(&pre.core, &plan.units[i]));
-                }
-            },
-        }
+    // fan the distinct blocks out; a faulted block is retried once on the caller
+    let canons: Vec<&str> = plan.units.iter().map(|u| u.canon.as_str()).collect();
+    let (mut solved, faults) = fan_out(
+        &canons,
+        threads,
+        |u| {
+            let unit = &plan.units[u];
+            solve_block(&unit.canon, unit.verts.len(), store, || {
+                bb_tw_budgeted(&unit.sub, cfg, &budget)
+            })
+        },
+        |u| degraded_unit(&plan.units[u]),
+    );
+    for (s, unit) in solved.iter_mut().zip(&plan.units) {
+        s.map_ordering(&unit.verts);
     }
-    faults.sort_by_key(|f| f.task);
     let mut ub = pre.base_width;
     let mut lb = pre.base_width;
     let mut exact = true;
@@ -696,55 +771,7 @@ enum GhwPart {
 struct GhwUnit {
     verts: Vec<usize>,
     sub: Hypergraph,
-}
-
-fn solve_ghw_unit(
-    unit: &GhwUnit,
-    cfg: &BbGhwConfig,
-    budget: &Budget,
-    store: Option<&dyn BlockStore>,
-) -> Solved {
-    let canon = store.map(|_| format!("ghw;{}", hypergraph_canon(&unit.sub)));
-    if let (Some(s), Some(c)) = (store, canon.as_deref()) {
-        if let Some(hit) = s.probe(c) {
-            if hit.ordering.len() == unit.verts.len() {
-                return Solved {
-                    width: hit.width,
-                    lower_bound: hit.lower_bound,
-                    exact: true,
-                    ordering: hit.ordering.iter().map(|&i| unit.verts[i]).collect(),
-                    nodes: 0,
-                    cache_hit: true,
-                    stats: None,
-                };
-            }
-        }
-    }
-    let r = bb_ghw_budgeted(&unit.sub, cfg, budget);
-    let ordering_c = r
-        .ordering
-        .unwrap_or_else(|| (0..unit.sub.num_vertices()).collect());
-    if r.exact {
-        if let (Some(s), Some(c)) = (store, canon.as_deref()) {
-            s.admit(
-                c,
-                &BlockSolution {
-                    width: r.upper_bound,
-                    lower_bound: r.lower_bound,
-                    ordering: ordering_c.clone(),
-                },
-            );
-        }
-    }
-    Solved {
-        width: r.upper_bound,
-        lower_bound: r.lower_bound,
-        exact: r.exact,
-        ordering: ordering_c.iter().map(|&i| unit.verts[i]).collect(),
-        nodes: r.nodes_expanded,
-        cache_hit: false,
-        stats: r.stats,
-    }
+    canon: String,
 }
 
 /// Trivial-width stand-in for a ghw block whose worker faulted twice.
@@ -753,7 +780,7 @@ fn degraded_ghw_unit(unit: &GhwUnit) -> Solved {
         width: unit.sub.num_edges().max(1),
         lower_bound: 0,
         exact: false,
-        ordering: unit.verts.clone(),
+        ordering: (0..unit.verts.len()).collect(),
         nodes: 0,
         cache_hit: false,
         stats: None,
@@ -829,36 +856,32 @@ pub fn split_ghw(
                     .iter()
                     .map(|&e| h.edge(e).iter().map(|v| pos[v]).collect::<Vec<_>>());
                 let sub = Hypergraph::from_edges(comp.len(), edges);
+                let canon = format!("ghw;{}", hypergraph_canon(&sub));
                 parts.push(GhwPart::Search(units.len()));
                 units.push(GhwUnit {
                     verts: comp.clone(),
                     sub,
+                    canon,
                 });
             }
         }
     }
-    // fan the searched components out; faulted blocks retry on the caller
-    let ids: Vec<usize> = (0..units.len()).collect();
-    let contained = ghd_par::parallel_map_contained(&ids, threads, |&u| {
-        solve_ghw_unit(&units[u], cfg, &budget, store)
-    });
-    let mut faults: Vec<WorkerFault> = contained.faults;
-    let mut solved: Vec<Solved> = Vec::with_capacity(units.len());
-    for (i, slot) in contained.results.into_iter().enumerate() {
-        match slot {
-            Some(s) => solved.push(s),
-            None => match ghd_par::run_contained(ghd_par::RETRY_WORKER, i, || {
-                solve_ghw_unit(&units[i], cfg, &budget, store)
-            }) {
-                Ok(s) => solved.push(s),
-                Err(fault) => {
-                    faults.push(fault);
-                    solved.push(degraded_ghw_unit(&units[i]));
-                }
-            },
-        }
+    // fan the distinct searched components out; faulted blocks retry on the caller
+    let canons: Vec<&str> = units.iter().map(|u| u.canon.as_str()).collect();
+    let (mut solved, faults) = fan_out(
+        &canons,
+        threads,
+        |u| {
+            let unit = &units[u];
+            solve_block(&unit.canon, unit.verts.len(), store, || {
+                bb_ghw_budgeted(&unit.sub, cfg, &budget)
+            })
+        },
+        |u| degraded_ghw_unit(&units[u]),
+    );
+    for (s, unit) in solved.iter_mut().zip(&units) {
+        s.map_ordering(&unit.verts);
     }
-    faults.sort_by_key(|f| f.task);
     let mut ub = 0usize;
     let mut lb = 0usize;
     let mut exact = true;

@@ -17,9 +17,10 @@ cargo test --offline -q --workspace
 echo "==> cargo test (search crates, release optimisation + debug assertions)"
 cargo test --offline -q --profile relassert -p ghd-par -p ghd-search -p ghd-ga -p ghd-serve
 
-echo "==> cargo test (bounds crate + root bounds oracles, release optimisation + debug assertions)"
+echo "==> cargo test (bounds crate + root bounds and certificate oracles, release optimisation + debug assertions)"
 cargo test --offline -q --profile relassert -p ghd-bounds
 cargo test --offline -q --profile relassert -p ghd --test bounds_differential
+cargo test --offline -q --profile relassert -p ghd --test certify_differential
 
 echo "==> clippy -D warnings (whole workspace, all targets)"
 cargo clippy --offline -q --workspace --all-targets -- -D warnings

@@ -183,10 +183,6 @@ fn assert_graph_same(input: &str, context: &str) -> bool {
 
 /// Asserts the hypergraph canonical text equals `write(parse(input))` and
 /// is a fixed point. Returns whether it parsed.
-///
-/// A name may end in a carriage return that came before a line break
-/// (`x\r\r\n`); the canonical text keeps the `\r\n` and parsing it again
-/// folds that to `\n`, so such a text is exempt from the fixed-point check.
 fn assert_hypergraph_same(input: &str, context: &str) -> bool {
     let expected = parse_hypergraph(input).map(|h| write_hypergraph(&h));
     let canon = canonical_hypergraph_text(input);
@@ -194,7 +190,7 @@ fn assert_hypergraph_same(input: &str, context: &str) -> bool {
         canon, expected,
         "{context}: canonical text differs on {input:?}"
     );
-    if let Some(canon) = canon.as_ref().ok().filter(|c| !c.contains('\r')) {
+    if let Ok(canon) = &canon {
         assert_eq!(
             canonical_hypergraph_text(canon).as_ref(),
             Ok(canon),

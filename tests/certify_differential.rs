@@ -12,8 +12,17 @@
 //! (instance-file numbering, A* or split-BB ordering as `cli-large` runs
 //! them); and valid decompositions next to mutated ones (a vertex dropped
 //! from a bag, an edge dropped from a λ-set, a bag removed). A failing case names its input and seed.
+//!
+//! The certificate the CLI verifies covers only the bags that can set the
+//! width and lets every other bag borrow a containing neighbour's λ
+//! (`GeneralizedHypertreeDecomposition::certificate`). It is compared with
+//! the decomposition that covers every bag exactly: the same tree, the same
+//! width, and the same verdict from `verify`, on the seeded corpus, on the
+//! mutated trees, and on the ghw instances of the `cli-large` and
+//! `serve-warm` benchmarks under seeded edge orders and vertex names.
 
-use ghd::core::bucket::{ghd_from_ordering, vertex_elimination};
+use ghd::bounds::upper::ghw_upper_bound;
+use ghd::core::bucket::{certificate_from_ordering, ghd_from_ordering, vertex_elimination};
 use ghd::core::setcover::{candidates, CoverMethod};
 use ghd::core::{
     DecompositionError, EliminationOrdering, GeneralizedHypertreeDecomposition, TreeDecomposition,
@@ -172,6 +181,50 @@ fn check_verify(case: &str, h: &Hypergraph, td: &TreeDecomposition) {
     );
 }
 
+/// A borrowed-λ certificate against the decomposition that covers every
+/// bag of the same tree exactly: the same tree, the same width, and
+/// `verify` accepts both or neither.
+fn check_same_verdict(
+    case: &str,
+    h: &Hypergraph,
+    borrowed: &GeneralizedHypertreeDecomposition,
+    every: &GeneralizedHypertreeDecomposition,
+) {
+    assert_eq!(borrowed.width(), every.width(), "certificate width on {case}");
+    assert_eq!(
+        borrowed.verify(h).is_ok(),
+        every.verify(h).is_ok(),
+        "certificate verdict on {case}: borrowed {:?}, every bag {:?}",
+        borrowed.verify(h),
+        every.verify(h)
+    );
+    let (a, b) = (borrowed.tree(), every.tree());
+    assert_eq!(a.num_nodes(), b.num_nodes(), "tree of {case}");
+    for p in b.nodes() {
+        assert_eq!(a.bag(p), b.bag(p), "bag {p} of {case}");
+        assert_eq!(a.parent(p), b.parent(p), "parent of {p} in {case}");
+    }
+}
+
+/// [`check_same_verdict`] on any tree decomposition, valid or not.
+fn check_borrowed(case: &str, h: &Hypergraph, td: &TreeDecomposition) {
+    let every = GeneralizedHypertreeDecomposition::from_tree_decomposition(
+        td.clone(),
+        h,
+        CoverMethod::Exact,
+    );
+    let borrowed = GeneralizedHypertreeDecomposition::certificate(td.clone(), h);
+    check_same_verdict(case, h, &borrowed, &every);
+}
+
+/// [`check_same_verdict`] on the tree of `σ`, through the entry points the
+/// CLI calls; both decompositions verify.
+fn check_certificate_of(case: &str, h: &Hypergraph, sigma: &EliminationOrdering) {
+    let every = ghd_from_ordering(h, sigma, CoverMethod::Exact);
+    assert_eq!(every.verify(h), Ok(()), "every-bag decomposition of {case}");
+    check_same_verdict(case, h, &certificate_from_ordering(h, sigma), &every);
+}
+
 fn check_verify_ghd(case: &str, h: &Hypergraph, ghd: &GeneralizedHypertreeDecomposition) {
     check_verify(case, h, ghd.tree());
     assert_eq!(
@@ -227,6 +280,7 @@ fn check_decompositions(
     let ghd = ghd_from_ordering(h, sigma, CoverMethod::Greedy);
     assert_eq!(ghd.verify(h), Ok(()), "valid decomposition of {case}");
     check_verify_ghd(&format!("{case} (valid)"), h, &ghd);
+    check_certificate_of(&format!("{case} (valid)"), h, sigma);
     let mut rng = StdRng::seed_from_u64(seed);
     let nodes = ghd.tree().num_nodes();
     for k in 0..rounds {
@@ -238,11 +292,9 @@ fn check_decompositions(
             td.bag_mut(p).remove(v);
             let lambda = td.nodes().map(|q| ghd.lambda(q).to_vec()).collect();
             let mutated = GeneralizedHypertreeDecomposition::new(td, lambda);
-            check_verify_ghd(
-                &format!("{case}, seed {seed}.{k}: vertex {v} dropped from bag {p}"),
-                h,
-                &mutated,
-            );
+            let what = format!("{case}, seed {seed}.{k}: vertex {v} dropped from bag {p}");
+            check_verify_ghd(&what, h, &mutated);
+            check_borrowed(&what, h, mutated.tree());
         }
         if !ghd.lambda(p).is_empty() {
             let mut lambda: Vec<Vec<usize>> =
@@ -258,11 +310,9 @@ fn check_decompositions(
         }
         if nodes > 1 {
             let mutated = without_node(&ghd, p);
-            check_verify_ghd(
-                &format!("{case}, seed {seed}.{k}: bag {p} removed"),
-                h,
-                &mutated,
-            );
+            let what = format!("{case}, seed {seed}.{k}: bag {p} removed");
+            check_verify_ghd(&what, h, &mutated);
+            check_borrowed(&what, h, mutated.tree());
         }
     }
 }
@@ -312,7 +362,9 @@ fn candidates_match_the_oracle_on_messy_hypergraphs() {
             let target = BitSet::from_iter(n, (0..n).filter(|_| rng.random_range(0..5u32) < keep));
             check_candidates(&case, &h, &target);
         }
-        check_bags(&case, &h, &EliminationOrdering::random(n, &mut rng));
+        let sigma = EliminationOrdering::random(n, &mut rng);
+        check_bags(&case, &h, &sigma);
+        check_certificate_of(&case, &h, &sigma);
     }
 }
 
@@ -329,11 +381,9 @@ fn candidates_match_the_oracle_on_structured_families() {
     for (i, (case, h)) in cases.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(i as u64);
         for _ in 0..4 {
-            check_bags(
-                case,
-                h,
-                &EliminationOrdering::random(h.num_vertices(), &mut rng),
-            );
+            let sigma = EliminationOrdering::random(h.num_vertices(), &mut rng);
+            check_bags(case, h, &sigma);
+            check_certificate_of(case, h, &sigma);
         }
     }
 }
@@ -356,6 +406,7 @@ fn check_certificate(name: &str, h: Hypergraph, astar: bool) {
     check_bags(name, &h, &sigma);
     let ghd = ghd_from_ordering(&h, &sigma, CoverMethod::Exact);
     check_verify_ghd(&format!("{name} certificate"), &h, &ghd);
+    check_certificate_of(&format!("{name} certificate"), &h, &sigma);
     check_decompositions(name, &h, &sigma, 7, 2);
 }
 
@@ -396,4 +447,73 @@ fn verify_matches_the_oracles_on_valid_and_mutated_decompositions() {
     forest.add_root(BitSet::from_iter(4, [0, 1]));
     forest.add_root(BitSet::from_iter(4, [2, 3]));
     check_verify("forest", &h, &forest);
+}
+
+/// `h` as instance text with every vertex under a fresh seeded name and,
+/// with `reorder`, its edges in a seeded order, parsed back: vertices are
+/// numbered by first appearance, so a renamed variant keeps the numbering
+/// and a reordered one gets a new numbering, as the CLI reads such files.
+fn variant(h: &Hypergraph, seed: u64, reorder: bool) -> Hypergraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut order: Vec<usize> = (0..h.num_edges()).collect();
+    if reorder {
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.random_range(0..=i));
+        }
+    }
+    let mut names: Vec<String> = Vec::with_capacity(h.num_vertices());
+    let mut used = std::collections::HashSet::new();
+    while names.len() < h.num_vertices() {
+        let name = format!("v{:06x}", rng.random_range(0..1u32 << 24));
+        if used.insert(name.clone()) {
+            names.push(name);
+        }
+    }
+    let lines: Vec<String> = order
+        .iter()
+        .enumerate()
+        .map(|(i, &e)| {
+            let vs: Vec<&str> = h.edge(e).iter().map(|v| names[v].as_str()).collect();
+            format!("e{i}({})", vs.join(","))
+        })
+        .collect();
+    parse_hypergraph(&format!("{}.\n", lines.join(",\n"))).expect("variant parses")
+}
+
+/// The ghw instances of `cli-large` and `serve-warm`. A renamed variant is
+/// certified from the ordering of the search the benchmark runs it with,
+/// and from min-fill's; two reordered variants from min-fill's, which is
+/// also the ordering BB returns whenever the root bounds meet. (The search
+/// itself is not run on reordered bridges: under a new numbering A* and BB
+/// take seconds there.) Every certificate must match the every-bag
+/// decomposition.
+#[test]
+fn borrowed_certificates_match_every_bag_covers_on_benchmark_instances() {
+    let cases: Vec<(&str, Hypergraph, bool)> = vec![
+        ("adder 50", hypergraphs::adder(50), false),
+        ("adder 100", hypergraphs::adder(100), true),
+        ("adder 150", hypergraphs::adder(150), true),
+        ("adder 200", hypergraphs::adder(200), false),
+        ("bridge 50", hypergraphs::bridge(50), true),
+        ("bridge 80", hypergraphs::bridge(80), true),
+        ("bridge 100", hypergraphs::bridge(100), false),
+        ("clique 10", hypergraphs::clique(10), true),
+        ("clique 30", hypergraphs::clique(30), false),
+        ("clique 40", hypergraphs::clique(40), true),
+        ("clique 50", hypergraphs::clique(50), false),
+        ("grid2d-h 6", hypergraphs::grid2d(6), true),
+    ];
+    for (name, base, astar) in cases {
+        for seed in 0..3u64 {
+            let reorder = seed > 0;
+            let h = variant(&base, seed, reorder);
+            let case = format!("{name}, variant {seed} (reordered: {reorder})");
+            if !reorder {
+                let sigma = certificate(&h, astar);
+                check_certificate_of(&format!("{case}, search ordering"), &h, &sigma);
+            }
+            let (_, min_fill) = ghw_upper_bound::<StdRng>(&h, None);
+            check_certificate_of(&format!("{case}, min-fill ordering"), &h, &min_fill);
+        }
+    }
 }

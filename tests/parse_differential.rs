@@ -19,7 +19,8 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
 }
 
 /// The parser as it stood before the single-pass rewrite, verbatim apart
-/// from its name.
+/// from its name and one rule added since: the whole run of `\r` before a
+/// line break (or a cut comment) goes with the break, not just one `\r`.
 fn oracle_parse(input: &str) -> Result<Hypergraph, ParseError> {
     // Strip comments line by line, then tokenize the rest as one stream.
     let mut text = String::new();
@@ -28,7 +29,7 @@ fn oracle_parse(input: &str) -> Result<Hypergraph, ParseError> {
             Some(p) => &line[..p],
             None => line,
         };
-        text.push_str(line);
+        text.push_str(line.trim_end_matches('\r'));
         text.push('\n');
     }
 
