@@ -139,6 +139,64 @@ fn bench_root_bounds_at_scale(hn: &mut Harness) {
     }
 }
 
+/// The root upper bound where it costs most against the search: min-fill
+/// on the `adder 150` primal graph, the greedy covers of `clique 40` and
+/// `clique 50` (bags meeting hundreds of edges), and min-fill on a chain
+/// of the four `serve-blocks` blocks (queen 5, gnm 24 60 7, gnm 20 50 3,
+/// Mycielski 4) glued at seeded cut vertices, 89 vertices.
+fn bench_root_upper_bound(hn: &mut Harness) {
+    let g = hypergraphs::adder(150).primal_graph();
+    hn.bench("ub/min_fill/adder_150", || {
+        black_box(min_fill_ordering::<StdRng>(black_box(&g), None));
+    });
+    for (name, h) in [
+        ("clique_40", hypergraphs::clique(40)),
+        ("clique_50", hypergraphs::clique(50)),
+    ] {
+        hn.bench(&format!("ub/ghw_upper_bound/{name}"), || {
+            black_box(ghw_upper_bound::<StdRng>(black_box(&h), None));
+        });
+    }
+    let blocks = [
+        graphs::queen(5),
+        graphs::gnm_random(24, 60, 7),
+        graphs::gnm_random(20, 50, 3),
+        graphs::mycielski(4),
+    ];
+    let g = glue_chain(&blocks, 4);
+    hn.bench("ub/min_fill/chain_4_serve_blocks", || {
+        black_box(min_fill_ordering::<StdRng>(black_box(&g), None));
+    });
+}
+
+/// Glues `blocks` into a chain: block `b + 1` shares its vertex 0 with a
+/// seeded vertex of block `b`, the rest of its vertices are new.
+fn glue_chain(blocks: &[ghd_hypergraph::Graph], seed: u64) -> ghd_hypergraph::Graph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = blocks.iter().map(|q| q.num_vertices() - 1).sum::<usize>() + 1;
+    let mut g = ghd_hypergraph::Graph::new(n);
+    let mut prev: Vec<usize> = Vec::new();
+    let mut next = 0;
+    for q in blocks {
+        let k = q.num_vertices();
+        let ids: Vec<usize> = (0..k)
+            .map(|i| {
+                if i == 0 && !prev.is_empty() {
+                    prev[rng.random_range(0..prev.len())]
+                } else {
+                    next += 1;
+                    next - 1
+                }
+            })
+            .collect();
+        for (u, v) in q.edges() {
+            g.add_edge(ids[u], ids[v]);
+        }
+        prev = ids;
+    }
+    g
+}
+
 /// The exact searches' per-node lower bound: `tw_lower_bound_elim` over
 /// 200 seeded residuals (a third of the vertices eliminated at random),
 /// all through one reused scratch, as A\* and BB call it. One iteration
@@ -199,29 +257,7 @@ fn bench_certification(hn: &mut Harness) {
 /// The split search on 24 queen(4) blocks glued into a chain at seeded cut
 /// vertices: one distinct block, so one block search plus the witness.
 fn bench_split(hn: &mut Harness) {
-    let q = graphs::queen(4);
-    let k = q.num_vertices();
-    let mut rng = StdRng::seed_from_u64(24);
-    let mut g = ghd_hypergraph::Graph::new(24 * (k - 1) + 1);
-    let mut prev: Vec<usize> = (0..k).collect();
-    for (u, v) in q.edges() {
-        g.add_edge(u, v);
-    }
-    for b in 1..24 {
-        let ids: Vec<usize> = (0..k)
-            .map(|i| {
-                if i == 0 {
-                    prev[rng.random_range(0..k)]
-                } else {
-                    b * (k - 1) + i
-                }
-            })
-            .collect();
-        for (u, v) in q.edges() {
-            g.add_edge(ids[u], ids[v]);
-        }
-        prev = ids;
-    }
+    let g = glue_chain(&vec![graphs::queen(4); 24], 24);
     let cfg = ghd_search::BbConfig::default();
     hn.bench("split_tw/chain_24_queen_4", || {
         black_box(ghd_search::split_tw(black_box(&g), &cfg, 1, None));
@@ -302,6 +338,7 @@ fn main() {
     bench_lower_bounds(&mut hn);
     bench_upper_bounds(&mut hn);
     bench_root_bounds_at_scale(&mut hn);
+    bench_root_upper_bound(&mut hn);
     bench_node_lower_bound(&mut hn);
     bench_certification(&mut hn);
     bench_split(&mut hn);

@@ -17,7 +17,6 @@ pub use lower::{
     tw_lower_bound_elim, LbScratch,
 };
 pub use upper::{
-    ghw_upper_bound, ghw_upper_bound_cached, ghw_upper_bound_multistart_cached,
-    min_degree_ordering, min_fill_ordering, mcs_ordering, tw_upper_bound,
-    tw_upper_bound_multistart,
+    ghw_upper_bound, ghw_upper_bound_cached, mcs_ordering, min_degree_ordering,
+    min_fill_ordering, tw_upper_bound,
 };

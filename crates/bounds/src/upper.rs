@@ -8,27 +8,56 @@ use ghd_core::EliminationOrdering;
 use ghd_hypergraph::{BitSet, EliminationGraph, Graph, Hypergraph};
 use ghd_prng::Rng;
 
-/// Picks, among indices with the minimum key, either the first or a random
-/// one. `tied` is a reusable buffer.
-fn argmin_tie<R: Rng + ?Sized>(
-    keys: impl Iterator<Item = (usize, usize)>,
+/// The live vertices of the `w`-th 64-vertex word of the live set
+/// `alive` (its raw blocks), ascending.
+fn live_in_word(alive: &[u64], w: usize) -> impl Iterator<Item = usize> {
+    let mut bits = alive[w];
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let v = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            v
+        })
+    })
+}
+
+/// The least fill count of the live vertices in word `w` of `alive`;
+/// `usize::MAX` when none is live.
+fn word_minimum(alive: &[u64], w: usize, fill: &[usize]) -> usize {
+    live_in_word(alive, w)
+        .map(|v| fill[v])
+        .min()
+        .unwrap_or(usize::MAX)
+}
+
+/// The min-fill pick: the first live vertex of least fill, or, with `rng`,
+/// a random one of the live vertices of least fill in ascending order
+/// (`tied` is a reusable buffer). `word_min` holds [`word_minimum`] of
+/// every word of `alive`, so only the first word at the least value and,
+/// with `rng`, the later words at it are read vertex by vertex.
+fn pick_min_fill<R: Rng + ?Sized>(
+    alive: &[u64],
+    fill: &[usize],
+    word_min: &[usize],
     tied: &mut Vec<usize>,
     rng: &mut Option<&mut R>,
-) -> Option<usize> {
-    let mut best_key = usize::MAX;
-    tied.clear();
-    for (v, key) in keys {
-        match key.cmp(&best_key) {
-            std::cmp::Ordering::Less => {
-                best_key = key;
-                tied.clear();
-                tied.push(v);
-            }
-            std::cmp::Ordering::Equal => tied.push(v),
-            std::cmp::Ordering::Greater => {}
-        }
+) -> usize {
+    let least = *word_min.iter().min().expect("a vertex exists");
+    let first = word_min
+        .iter()
+        .position(|&m| m == least)
+        .expect("least is a minimum");
+    let at_least = |w: usize| live_in_word(alive, w).filter(move |&v| fill[v] == least);
+    if rng.is_none() {
+        return at_least(first)
+            .next()
+            .expect("a live vertex attains its word's minimum");
     }
-    (!tied.is_empty()).then(|| pick_tied(tied, rng))
+    tied.clear();
+    for w in (first..word_min.len()).filter(|&w| word_min[w] == least) {
+        tied.extend(at_least(w));
+    }
+    pick_tied(tied, rng)
 }
 
 /// The min-fill heuristic (§4.4.2): repeatedly eliminate the vertex whose
@@ -39,18 +68,28 @@ fn argmin_tie<R: Rng + ?Sized>(
 /// elimination can change them: eliminating `v` changes the neighbourhood
 /// of each `u ∈ N(v)`, and its fill edges (all inside `N(v)`) can only close
 /// pairs in the neighbourhoods of `N(N(v))`. A simplicial `v` adds no fill,
-/// so then only `N(v)` is refreshed.
+/// so then only `N(v)` is refreshed. The least fill count of each 64-vertex
+/// word of the live set is cached too, and refreshed only for the words
+/// holding `v` or a refreshed vertex, so the argmin reads `n/64` word
+/// minima and one or a few words, not every live vertex.
 pub fn min_fill_ordering<R: Rng + ?Sized>(g: &Graph, mut rng: Option<&mut R>) -> EliminationOrdering {
     let n = g.num_vertices();
     let mut eg = EliminationGraph::new(g);
     let mut fill: Vec<usize> = (0..n).map(|v| eg.fill_in_count(v)).collect();
+    let words = eg.alive().blocks().len();
+    let mut word_min: Vec<usize> = (0..words)
+        .map(|w| word_minimum(eg.alive().blocks(), w, &fill))
+        .collect();
     let mut affected = BitSet::new(n);
     let mut tied = Vec::new();
     let mut order = vec![0usize; n];
     for pos in (0..n).rev() {
-        let v = argmin_tie(eg.alive().iter().map(|v| (v, fill[v])), &mut tied, &mut rng)
-            .expect("alive vertex exists");
+        let v = pick_min_fill(eg.alive().blocks(), &fill, &word_min, &mut tied, &mut rng);
         debug_assert_eq!(fill[v], eg.fill_in_count(v), "stale fill count");
+        debug_assert!(
+            scan_agrees(eg.alive(), &fill, v, &tied, rng.is_some()),
+            "min-fill pick differs from the ascending scan's"
+        );
         order[pos] = v;
         affected.copy_from(eg.neighbors(v));
         if fill[v] > 0 {
@@ -63,8 +102,29 @@ pub fn min_fill_ordering<R: Rng + ?Sized>(g: &Graph, mut rng: Option<&mut R>) ->
         for u in affected.iter() {
             fill[u] = eg.fill_in_count(u);
         }
+        // the words whose minimum can move: the refreshed vertices' and v's
+        affected.insert(v);
+        let alive = eg.alive().blocks();
+        for (w, &bits) in affected.blocks().iter().enumerate() {
+            if bits != 0 {
+                word_min[w] = word_minimum(alive, w, &fill);
+            }
+        }
     }
     EliminationOrdering::new(order).expect("permutation by construction")
+}
+
+/// Debug check of [`pick_min_fill`] against an ascending scan of the live
+/// set: without an rng `v` is the scan's first vertex of least fill; with
+/// one, `tied` is the scan's whole list of them.
+fn scan_agrees(alive: &BitSet, fill: &[usize], v: usize, tied: &[usize], seeded: bool) -> bool {
+    let least = alive.iter().map(|u| fill[u]).min();
+    let mut scan = alive.iter().filter(|&u| Some(fill[u]) == least);
+    if seeded {
+        scan.eq(tied.iter().copied())
+    } else {
+        scan.next() == Some(v)
+    }
 }
 
 /// The min-degree heuristic: like min-fill but keyed on current degree.
@@ -147,25 +207,6 @@ pub fn tw_upper_bound<R: Rng + ?Sized>(g: &Graph, rng: Option<&mut R>) -> (usize
     (w, sigma)
 }
 
-/// Multi-start min-fill: `k` randomized-tie-break runs, keeping the best
-/// (the thesis exploits min-fill's random tie-breaking by reporting the
-/// best of ten runs per instance).
-pub fn tw_upper_bound_multistart(g: &Graph, k: usize, seed: u64) -> (usize, EliminationOrdering) {
-    use ghd_prng::rngs::StdRng;
-    assert!(k >= 1);
-    let mut eval = TwEvaluator::new(g);
-    let mut best: Option<(usize, EliminationOrdering)> = None;
-    for i in 0..k {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
-        let sigma = min_fill_ordering(g, Some(&mut rng));
-        let w = eval.width(&sigma);
-        if best.as_ref().is_none_or(|(bw, _)| w < *bw) {
-            best = Some((w, sigma));
-        }
-    }
-    best.expect("k >= 1")
-}
-
 /// Initial generalized hypertree width upper bound: min-fill ordering on the
 /// primal graph, bags covered greedily (McMahan's pipeline, §2.5.2).
 /// Returns `(width, ordering)`.
@@ -180,9 +221,8 @@ pub fn ghw_upper_bound<R: Rng + ?Sized>(
 
 /// [`ghw_upper_bound`] with the per-bag greedy covers routed through a
 /// [`CoverCache`](ghd_core::setcover::CoverCache) shared with the caller's
-/// search: the heuristic warms the cache with every root bag, and multistart
-/// restarts hit covers computed by earlier starts. Deterministic
-/// (first-maximum tie rule).
+/// search: the heuristic warms the cache with every root bag.
+/// Deterministic (first-maximum tie rule).
 pub fn ghw_upper_bound_cached(
     h: &Hypergraph,
     cache: &mut ghd_core::setcover::CoverCache,
@@ -190,36 +230,6 @@ pub fn ghw_upper_bound_cached(
     let sigma = min_fill_ordering::<ghd_prng::rngs::StdRng>(&h.primal_graph(), None);
     let w = GhwEvaluator::new(h).width_cached(&sigma, cache);
     (w, sigma)
-}
-
-/// Multi-start variant of [`ghw_upper_bound_cached`]: `k` randomized
-/// min-fill orderings (seeded), every bag cover memoized in `cache`, best
-/// `(width, ordering)` returned. Restarts share most buckets, so later
-/// starts are mostly cache hits.
-pub fn ghw_upper_bound_multistart_cached(
-    h: &Hypergraph,
-    k: usize,
-    seed: u64,
-    cache: &mut ghd_core::setcover::CoverCache,
-) -> (usize, EliminationOrdering) {
-    use ghd_prng::rngs::StdRng;
-    assert!(k >= 1);
-    let primal = h.primal_graph();
-    let mut eval = GhwEvaluator::new(h);
-    let mut best: Option<(usize, EliminationOrdering)> = None;
-    for i in 0..k {
-        let sigma = if i == 0 {
-            min_fill_ordering::<StdRng>(&primal, None)
-        } else {
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
-            min_fill_ordering(&primal, Some(&mut rng))
-        };
-        let w = eval.width_cached(&sigma, cache);
-        if best.as_ref().is_none_or(|(bw, _)| w < *bw) {
-            best = Some((w, sigma));
-        }
-    }
-    best.expect("k >= 1")
 }
 
 #[cfg(test)]
@@ -291,18 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn multistart_never_worse_than_single_deterministic_run() {
-        for seed in 0..5u64 {
-            let g = graphs::gnm_random(40, 150, seed);
-            let (single, _) = tw_upper_bound::<StdRng>(&g, None);
-            let (multi, sigma) = tw_upper_bound_multistart(&g, 8, seed);
-            assert!(multi <= single + 1, "seed {seed}"); // randomized runs vary
-            let w = TwEvaluator::new(&g).width(&sigma);
-            assert_eq!(w, multi);
-        }
-    }
-
-    #[test]
     fn cached_ghw_upper_bound_matches_uncached_tie_rule_and_hits() {
         use ghd_core::setcover::CoverCache;
         for seed in 0..5u64 {
@@ -312,18 +310,14 @@ mod tests {
             let (w2, s2) = ghw_upper_bound_cached(&h, &mut cache);
             assert_eq!((w1, s1.as_slice()), (w2, s2.as_slice()), "seed {seed}");
             assert!(cache.stats().hits > 0, "second run should hit");
-            // multistart shares the cache and can only improve
-            let (wm, sm) = ghw_upper_bound_multistart_cached(&h, 6, seed, &mut cache);
-            assert!(wm <= w1, "seed {seed}");
-            assert_eq!(sm.len(), 15);
-            // widths are genuine upper bounds on the uncached heuristic's
-            // exact realization
+            // the width is a genuine upper bound on the ordering's exact
+            // realization
             let ghd = ghd_core::bucket::ghd_from_ordering(
                 &h,
-                &sm,
+                &s1,
                 ghd_core::setcover::CoverMethod::Exact,
             );
-            assert!(ghd.width() <= wm, "seed {seed}");
+            assert!(ghd.width() <= w1, "seed {seed}");
         }
     }
 

@@ -160,8 +160,9 @@ Budgets (exact searches): default 10s wall clock; --time 0 = unlimited;
 --nodes N = global node-expansion budget shared by every worker thread.
 --stats json prints the result and its telemetry as one JSON object.
 --threads T (--method bb only) runs the work-stealing parallel search
-(T = 0 uses all cores); widths and orderings are identical to the
-sequential search. --steal-depth D tunes its task-publication cutoff.
+(T = 0 uses all cores, T = 1 the sequential search); widths and
+orderings are identical to the sequential search. --steal-depth D
+tunes its task-publication cutoff.
 --method bb splits instances into independent blocks along safe
 separators (components, cut vertices, clique separators for tw;
 components and isolated/contained edges for ghw), solves the blocks in
@@ -664,9 +665,10 @@ pub fn solve_tw_text_with_store(
         let (threads, steal) = parallel.unwrap_or((1, StealConfig::default()));
         let cfg = BbConfig { limits, steal, ..BbConfig::default() };
         if no_split {
+            // one worker runs the sequential search it would reproduce
             let r = match parallel {
-                Some((t, _)) => bb_tw_parallel(&g, &cfg, t),
-                None => bb_tw(&g, &cfg),
+                Some((t, _)) if t != 1 => bb_tw_parallel(&g, &cfg, t),
+                _ => bb_tw(&g, &cfg),
             };
             (r, None)
         } else {
@@ -815,9 +817,10 @@ pub fn solve_ghw_text_with_store(
         let (threads, steal) = parallel.unwrap_or((1, StealConfig::default()));
         let cfg = BbGhwConfig { limits, steal, ..BbGhwConfig::default() };
         if no_split {
+            // one worker runs the sequential search it would reproduce
             let r = match parallel {
-                Some((t, _)) => bb_ghw_parallel(&h, &cfg, t),
-                None => bb_ghw(&h, &cfg),
+                Some((t, _)) if t != 1 => bb_ghw_parallel(&h, &cfg, t),
+                _ => bb_ghw(&h, &cfg),
             };
             (r, None)
         } else {
@@ -1850,6 +1853,39 @@ mod tests {
             run_args(&["tw", &gpath, "--method", "bb", "--threads", "2", "--steal-depth", "0"])
                 .is_err()
         );
+    }
+
+    #[test]
+    fn no_split_with_one_thread_runs_the_sequential_search() {
+        use ghd_core::json::Json;
+        // `--threads 1` without splitting expands exactly the sequential
+        // search's nodes and reports no steal counters
+        let stats = |args: &[&str]| {
+            let v = Json::parse(&run_args(args).unwrap()).expect("stats JSON");
+            let steals = v
+                .get("stats")
+                .and_then(|s| s.get("worker_steals"))
+                .and_then(Json::as_array)
+                .expect("worker_steals array")
+                .len();
+            let number = |key: &str| v.get(key).and_then(Json::as_f64).expect(key);
+            (number("upper_bound"), number("nodes_expanded"), steals)
+        };
+        let col = run_args(&["gen", "myciel", "4"]).unwrap();
+        let gpath = tmp("one_thread.col", &col);
+        let hg = run_args(&["gen", "grid2d-h", "5"]).unwrap();
+        let hpath = tmp("one_thread.hg", &hg);
+        for (cmd, path) in [("tw", &gpath), ("ghw", &hpath)] {
+            let flags = "--method bb --time 0 --no-split --stats json".split(' ');
+            let base: Vec<&str> = [cmd, path.as_str()].into_iter().chain(flags).collect();
+            let seq = stats(&base);
+            let one = stats(&[&base[..], &["--threads", "1"]].concat());
+            assert_eq!(one, seq, "{cmd} --no-split --threads 1");
+            assert_eq!(one.2, 0, "{cmd}: no steal counters");
+            let two = stats(&[&base[..], &["--threads", "2"]].concat());
+            assert_eq!(two.0, seq.0, "{cmd} --threads 2 width");
+            assert_eq!(two.2, 2, "{cmd} --threads 2 still steals");
+        }
     }
 
     #[test]

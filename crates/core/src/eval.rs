@@ -123,7 +123,13 @@ pub struct GhwEvaluator {
     candidates: Vec<u32>,
     cand_stamp: Vec<u32>,
     round: u32,
-    tied: Vec<u32>,
+    // per edge, valid while `cand_stamp[e] == round`: its position in
+    // `candidates` and its gain `|e ∩ uncovered|`
+    slot: Vec<u32>,
+    gain: Vec<u32>,
+    // `buckets[g]`: the candidate positions of gain `g`, for `g >= 1`
+    buckets: Vec<BitSet>,
+    tied: Vec<usize>,
 }
 
 impl GhwEvaluator {
@@ -139,8 +145,11 @@ impl GhwEvaluator {
             candidates: Vec::new(),
             cand_stamp: vec![0; h.num_edges()],
             round: 0,
+            slot: vec![0; h.num_edges()],
+            gain: vec![0; h.num_edges()],
+            buckets: vec![BitSet::new(0); h.rank() + 1],
             tied: Vec::new(),
-        h: h.clone(),
+            h: h.clone(),
         }
     }
 
@@ -148,46 +157,74 @@ impl GhwEvaluator {
     /// without allocation (Fig 7.2 semantics: repeatedly take the edge
     /// covering the most uncovered vertices, ties broken randomly or by the
     /// first maximum).
+    ///
+    /// Candidates (the edges touching the bag) are numbered in discovery
+    /// order, bag vertex by bag vertex, and sit in one bucket per gain.
+    /// The pick is the lowest position in the highest non-empty bucket,
+    /// and with an `rng` that bucket read in ascending order is the tied
+    /// list: the candidates of maximum gain in discovery order, as a
+    /// rescan of every candidate lists them. Covering a vertex moves each
+    /// edge through it down one bucket; gains only fall, so the top
+    /// pointer only moves down.
     fn fast_greedy_size<R: Rng + ?Sized>(&mut self, rng: &mut Option<&mut R>) -> usize {
         self.round += 1;
         let round = self.round;
-        // candidate edges: any edge touching the bag (deduplicated by stamp)
         self.candidates.clear();
         self.uncovered.clear();
-        let mut remaining = 0usize;
+        let mut top = 0;
         for &v in &self.bag_vertices {
             self.uncovered.insert(v as usize);
-            remaining += 1;
             for &e in self.h.edges_containing(v as usize) {
                 if self.cand_stamp[e] != round {
                     self.cand_stamp[e] = round;
+                    self.slot[e] = self.candidates.len() as u32;
+                    self.gain[e] = 0;
                     self.candidates.push(e as u32);
                 }
+                self.gain[e] += 1;
+                top = top.max(self.gain[e] as usize);
             }
         }
+        for row in &mut self.buckets[1..=top] {
+            row.reset(self.candidates.len());
+        }
+        for (at, &e) in self.candidates.iter().enumerate() {
+            self.buckets[self.gain[e as usize] as usize].insert(at);
+        }
+        let mut remaining = self.bag_vertices.len();
         let mut k = 0;
         while remaining > 0 {
-            let mut best_gain = 0;
-            self.tied.clear();
-            for &e in &self.candidates {
-                let gain = self.h.edge(e as usize).intersection_len(&self.uncovered);
-                match gain.cmp(&best_gain) {
-                    std::cmp::Ordering::Greater => {
-                        best_gain = gain;
-                        self.tied.clear();
-                        self.tied.push(e);
+            while top > 0 && self.buckets[top].is_empty() {
+                top -= 1;
+            }
+            assert!(top > 0, "bag not coverable by hypergraph edges");
+            let at = match rng.as_deref_mut() {
+                Some(r) => {
+                    self.tied.clear();
+                    self.tied.extend(self.buckets[top].iter());
+                    self.tied[r.random_range(0..self.tied.len())]
+                }
+                None => self.buckets[top].min().expect("nonempty bucket"),
+            };
+            let pick = self.h.edge(self.candidates[at] as usize);
+            debug_assert_eq!(
+                top,
+                pick.intersection_len(&self.uncovered),
+                "stale greedy gain"
+            );
+            for u in pick.iter().filter(|&u| self.uncovered.contains(u)) {
+                for &f in self.h.edges_containing(u) {
+                    let g = self.gain[f] as usize;
+                    let at = self.slot[f] as usize;
+                    self.buckets[g].remove(at);
+                    if g > 1 {
+                        self.buckets[g - 1].insert(at);
                     }
-                    std::cmp::Ordering::Equal if gain > 0 => self.tied.push(e),
-                    _ => {}
+                    self.gain[f] -= 1;
                 }
             }
-            assert!(best_gain > 0, "bag not coverable by hypergraph edges");
-            let pick = match rng.as_deref_mut() {
-                Some(r) => self.tied[r.random_range(0..self.tied.len())],
-                None => self.tied[0],
-            };
-            self.uncovered.difference_with(self.h.edge(pick as usize));
-            remaining -= best_gain;
+            self.uncovered.difference_with(pick);
+            remaining -= top;
             k += 1;
         }
         k

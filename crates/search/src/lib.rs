@@ -36,7 +36,7 @@ pub use common::{
     Budget, CancelToken, IncumbentSample, PruneCounters, SearchLimits, SearchResult,
     SearchStats, StealCounters, Ticker,
 };
-pub use preprocess::{preprocess_tw, tw_with_preprocessing, Preprocessed};
+pub use preprocess::{preprocess_tw, Preprocessed};
 pub use split::{
     split_ghw, split_tw, BlockOutcome, BlockSolution, BlockStore, SeparatorKind, SplitOutcome,
     SplitReport,

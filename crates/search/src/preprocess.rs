@@ -81,51 +81,9 @@ pub fn preprocess_tw(g: &Graph) -> Preprocessed {
     }
 }
 
-/// Treewidth with preprocessing: reduce, search only the core, combine.
-pub fn tw_with_preprocessing(
-    g: &Graph,
-    limits: crate::common::SearchLimits,
-) -> crate::common::SearchResult {
-    let pre = preprocess_tw(g);
-    if pre.core.num_vertices() == 0 {
-        // fully reduced: the reductions alone were exact
-        let mut ordering: Vec<usize> = pre.eliminated.clone();
-        ordering.reverse(); // eliminated-first ⇒ back of σ
-        return crate::common::SearchResult {
-            upper_bound: pre.base_width,
-            lower_bound: pre.base_width,
-            exact: true,
-            ordering: Some(ordering),
-            nodes_expanded: 0,
-            elapsed: std::time::Duration::ZERO,
-            cover_cache: None,
-            stats: None,
-            faults: Vec::new(),
-        };
-    }
-    let mut r = crate::astar_tw(&pre.core, limits);
-    // lift core ordering to original indices and append eliminated suffix
-    r.ordering = r.ordering.map(|core_order| {
-        let mut order: Vec<usize> = core_order
-            .into_iter()
-            .map(|v| pre.original_of_core[v])
-            .collect();
-        order.extend(pre.eliminated.iter().rev());
-        order
-    });
-    r.upper_bound = r.upper_bound.max(pre.base_width);
-    r.lower_bound = r.lower_bound.max(if r.exact { r.upper_bound } else { 0 });
-    if r.exact {
-        r.lower_bound = r.upper_bound;
-    }
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::SearchLimits;
-    use crate::{astar_tw, bb_tw, BbConfig};
     use ghd_core::eval::TwEvaluator;
     use ghd_core::EliminationOrdering;
     use ghd_hypergraph::generators::graphs;
@@ -136,10 +94,10 @@ mod tests {
         let pre = preprocess_tw(&g);
         assert_eq!(pre.core.num_vertices(), 0);
         assert_eq!(pre.base_width, 1);
-        let r = tw_with_preprocessing(&g, SearchLimits::unlimited());
-        assert_eq!(r.width(), Some(1));
-        // the assembled ordering must actually realise the width
-        let sigma = EliminationOrdering::new(r.ordering.unwrap()).unwrap();
+        // the reductions' elimination sequence (eliminated first ⇒ back of
+        // σ) must actually realise the width
+        let order: Vec<usize> = pre.eliminated.iter().rev().copied().collect();
+        let sigma = EliminationOrdering::new(order).unwrap();
         assert_eq!(TwEvaluator::new(&g).width(&sigma), 1);
     }
 
@@ -153,31 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn grids_keep_an_irreducible_core_but_combine_correctly() {
-        for n in 3..=5 {
-            let g = graphs::grid(n);
-            let r = tw_with_preprocessing(&g, SearchLimits::unlimited());
-            assert!(r.exact);
-            assert_eq!(r.upper_bound, n, "grid{n}");
-        }
-    }
-
-    #[test]
-    fn agrees_with_plain_search_on_random_graphs() {
-        for seed in 0..8u64 {
-            let g = graphs::gnm_random(14, 30, seed);
-            let plain = astar_tw(&g, SearchLimits::unlimited());
-            let pre = tw_with_preprocessing(&g, SearchLimits::unlimited());
-            assert!(plain.exact && pre.exact);
-            assert_eq!(plain.upper_bound, pre.upper_bound, "seed {seed}");
-            // orderings lift correctly
-            let sigma = EliminationOrdering::new(pre.ordering.unwrap()).unwrap();
-            let w = TwEvaluator::new(&g).width(&sigma);
-            assert_eq!(w, pre.upper_bound, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn preprocessing_only_shrinks() {
         let g = graphs::queen(5);
         let pre = preprocess_tw(&g);
@@ -186,9 +119,5 @@ mod tests {
             pre.core.num_vertices() + pre.eliminated.len(),
             g.num_vertices()
         );
-        // the combined answer still matches plain BB
-        let r = tw_with_preprocessing(&g, SearchLimits::unlimited());
-        let b = bb_tw(&g, &BbConfig::default());
-        assert_eq!(r.upper_bound, b.upper_bound);
     }
 }

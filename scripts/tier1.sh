@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Tier-1 gate: offline build, full test suite (plus an assertions-on
-# release pass for the search and bounds crates and the bounds oracles),
+# release pass for the search, core and bounds crates and the bounds oracles),
 # workspace-wide lint, the parser fuzz smoke gate, and the two
 # self-asserting benches (search cover cache, CSP relation engine). Run from anywhere; exits non-zero on the first
 # failure.
@@ -17,7 +17,8 @@ cargo test --offline -q --workspace
 echo "==> cargo test (search crates, release optimisation + debug assertions)"
 cargo test --offline -q --profile relassert -p ghd-par -p ghd-search -p ghd-ga -p ghd-serve
 
-echo "==> cargo test (bounds crate + root bounds and certificate oracles, release optimisation + debug assertions)"
+echo "==> cargo test (core and bounds crates + root bounds and certificate oracles, release optimisation + debug assertions)"
+cargo test --offline -q --profile relassert -p ghd-core
 cargo test --offline -q --profile relassert -p ghd-bounds
 cargo test --offline -q --profile relassert -p ghd --test bounds_differential
 cargo test --offline -q --profile relassert -p ghd --test certify_differential
