@@ -1598,6 +1598,12 @@ mod tests {
         let gpath = tmp("queen4.col", &col);
         let out = run_args(&["tw", &gpath, "--method", "bb", "--td"]).unwrap();
         assert_eq!(out, include_str!("../tests/fixtures/queen4_bb.td"));
+        let out = run_args(&["tw", &gpath, "--method", "astar", "--td"]).unwrap();
+        assert_eq!(out, include_str!("../tests/fixtures/queen4_astar.td"));
+        let hg = run_args(&["gen", "grid2d-h", "6"]).unwrap();
+        let hpath = tmp("grid2d_h6.hg", &hg);
+        let out = run_args(&["ghw", &hpath, "--method", "astar", "--show"]).unwrap();
+        assert_eq!(out, include_str!("../tests/fixtures/grid2d_h6_astar.show"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Golden values of the branch-and-bound searches. Every other suite
+//! Golden values of the branch-and-bound and A\* searches. Every other suite
 //! compares runs against each other (parallel vs sequential, stats on vs
 //! off, split on vs off), so a change that shifted every ordering or node
 //! count the same way would pass them all. This test pins the literal
@@ -9,13 +9,14 @@
 //! Each row renders as `ub lb exact nodes | ordering | prunes | cache |
 //! incumbents`, with prunes as `simplicial pr2_filtered pr1_closures
 //! f_prunes capped_covers` and incumbents as `ub:lb` pairs (wall-clock
-//! times are dropped). A mismatch prints every differing row.
+//! times are dropped). A\* rows append `| dominance_hits open_peak
+//! seen_peak`. A mismatch prints every differing row.
 
 use ghd_core::setcover::CoverMethod;
 use ghd_hypergraph::generators::{graphs, hypergraphs};
 use ghd_hypergraph::{Graph, Hypergraph};
 use ghd_search::{
-    bb_ghw, bb_ghw_parallel, bb_tw, bb_tw_parallel, witness_ghw, witness_tw, BbConfig, BbGhwConfig,
+    astar_ghw, astar_tw, bb_ghw, bb_ghw_parallel, bb_tw, bb_tw_parallel, witness_ghw, witness_tw, BbConfig, BbGhwConfig,
     Budget, LbMode, SearchLimits, SearchResult,
 };
 
@@ -46,6 +47,19 @@ fn render(r: &SearchResult) -> String {
         p.capped_covers,
         cache,
         incumbents.join(" ")
+    )
+}
+
+/// [`render`] plus the A\* closed-set counters: dominance hits and the
+/// open/seen high-water marks.
+fn render_astar(r: &SearchResult) -> String {
+    let stats = r.stats.as_ref().expect("golden runs collect stats");
+    format!(
+        "{} | {} {} {}",
+        render(r),
+        stats.prunes.dominance_hits,
+        stats.open_peak,
+        stats.seen_peak
     )
 }
 
@@ -232,6 +246,31 @@ fn actual_rows() -> Vec<(String, String)> {
             format!("ghw {name} parallel-1"),
             render(&bb_ghw_parallel(&h, &base, 1)),
         ));
+    }
+    rows
+}
+
+/// Every pinned A\* run: each instance unlimited and at 1, 25 and 200
+/// expansions.
+fn astar_rows() -> Vec<(String, String)> {
+    let limits = || {
+        [
+            ("unlimited".to_string(), stats_limits()),
+            ("nodes=1".to_string(), budget_limits(1)),
+            ("nodes=25".to_string(), budget_limits(25)),
+            ("nodes=200".to_string(), budget_limits(200)),
+        ]
+    };
+    let mut rows = Vec::new();
+    for (name, g) in tw_instances() {
+        for (label, l) in limits() {
+            rows.push((format!("tw {name} {label}"), render_astar(&astar_tw(&g, l))));
+        }
+    }
+    for (name, h) in ghw_instances() {
+        for (label, l) in limits() {
+            rows.push((format!("ghw {name} {label}"), render_astar(&astar_ghw(&h, l))));
+        }
     }
     rows
 }
@@ -435,15 +474,99 @@ ghw circuit20-16-2 witness => 0 | 15 12 11 8 7 5 6 4 2 0 10 9 1 16 19 18 14 17 1
 ghw circuit20-16-2 parallel-1 => 3 3 true 27 | 15 12 11 8 7 5 6 4 2 0 10 9 1 16 19 18 14 17 13 3 | 17 46 0 66 0 | 54/65 | 3:2 3:3
 ";
 
-#[test]
-fn bb_outcomes_match_the_recorded_golden_values() {
-    let expected: Vec<(&str, &str)> = GOLDEN
+/// The recorded A\* outcomes, in [`GOLDEN`]'s format.
+const ASTAR_GOLDEN: &str = "
+tw gnm14-40-3 unlimited => 6 6 true 1 | 13 8 5 4 3 2 0 6 12 7 11 1 10 9 | 1 0 0 1 0 | - | 6:5 6:6 | 0 0 0
+tw gnm14-40-3 nodes=1 => 6 6 true 1 | 13 8 5 4 3 2 0 6 12 7 11 1 10 9 | 1 0 0 1 0 | - | 6:5 6:6 | 0 0 0
+tw gnm14-40-3 nodes=25 => 6 6 true 1 | 13 8 5 4 3 2 0 6 12 7 11 1 10 9 | 1 0 0 1 0 | - | 6:5 6:6 | 0 0 0
+tw gnm14-40-3 nodes=200 => 6 6 true 1 | 13 8 5 4 3 2 0 6 12 7 11 1 10 9 | 1 0 0 1 0 | - | 6:5 6:6 | 0 0 0
+tw gnm16-45-0 unlimited => 7 7 true 19 | 13 12 10 9 6 2 1 3 0 4 14 7 11 5 15 8 | 13 22 0 44 0 | - | 7:6 7:7 | 4 7 18
+tw gnm16-45-0 nodes=1 => 7 6 false 1 | 13 12 10 9 6 2 1 3 0 4 14 7 11 5 15 8 | 1 0 0 0 0 | - | 7:6 7:6 | 0 1 1
+tw gnm16-45-0 nodes=25 => 7 7 true 19 | 13 12 10 9 6 2 1 3 0 4 14 7 11 5 15 8 | 13 22 0 44 0 | - | 7:6 7:7 | 4 7 18
+tw gnm16-45-0 nodes=200 => 7 7 true 19 | 13 12 10 9 6 2 1 3 0 4 14 7 11 5 15 8 | 13 22 0 44 0 | - | 7:6 7:7 | 4 7 18
+tw gnm16-45-1 unlimited => 7 7 true 18 | 2 3 4 5 6 8 10 11 7 1 9 15 14 13 12 0 | 4 172 0 11 0 | - | 8:6 8:7 7:7 | 0 28 44
+tw gnm16-45-1 nodes=1 => 8 6 false 1 | 15 11 9 8 7 6 5 3 2 1 4 10 14 13 12 0 | 1 0 0 0 0 | - | 8:6 8:6 | 0 1 1
+tw gnm16-45-1 nodes=25 => 7 7 true 18 | 2 3 4 5 6 8 10 11 7 1 9 15 14 13 12 0 | 4 172 0 11 0 | - | 8:6 8:7 7:7 | 0 28 44
+tw gnm16-45-1 nodes=200 => 7 7 true 18 | 2 3 4 5 6 8 10 11 7 1 9 15 14 13 12 0 | 4 172 0 11 0 | - | 8:6 8:7 7:7 | 0 28 44
+tw gnm18-50-7 unlimited => 7 7 true 40 | 17 14 12 7 5 3 9 8 1 10 15 6 2 0 4 13 11 16 | 14 205 0 135 0 | - | 7:6 7:7 | 3 14 39
+tw gnm18-50-7 nodes=1 => 7 6 false 1 | 17 14 12 7 5 3 9 8 1 10 15 6 2 0 4 13 11 16 | 1 0 0 0 0 | - | 7:6 7:6 | 0 1 1
+tw gnm18-50-7 nodes=25 => 7 6 false 25 | 17 14 12 7 5 3 9 8 1 10 15 6 2 0 4 13 11 16 | 12 144 0 85 0 | - | 7:6 7:6 | 2 14 33
+tw gnm18-50-7 nodes=200 => 7 7 true 40 | 17 14 12 7 5 3 9 8 1 10 15 6 2 0 4 13 11 16 | 14 205 0 135 0 | - | 7:6 7:7 | 3 14 39
+tw queen4 unlimited => 11 11 true 14 | 15 14 13 12 11 10 9 6 4 2 5 3 1 8 7 0 | 4 65 0 77 0 | - | 11:9 11:10 11:11 | 0 9 13
+tw queen4 nodes=1 => 11 10 false 1 | 15 14 13 12 11 10 9 6 4 2 5 3 1 8 7 0 | 0 65 0 7 0 | - | 11:9 11:10 | 0 9 9
+tw queen4 nodes=25 => 11 11 true 14 | 15 14 13 12 11 10 9 6 4 2 5 3 1 8 7 0 | 4 65 0 77 0 | - | 11:9 11:10 11:11 | 0 9 13
+tw queen4 nodes=200 => 11 11 true 14 | 15 14 13 12 11 10 9 6 4 2 5 3 1 8 7 0 | 4 65 0 77 0 | - | 11:9 11:10 11:11 | 0 9 13
+tw queen5 unlimited => 18 18 true 1166 | 24 22 21 20 19 18 17 15 12 11 10 8 6 4 1 16 13 9 5 3 2 7 23 14 0 | 148 15541 0 5664 0 | - | 18:12 18:13 18:14 18:15 18:16 18:17 18:18 | 111 560 1165
+tw queen5 nodes=1 => 18 13 false 1 | 24 22 21 20 19 18 17 15 12 11 10 8 6 4 1 16 13 9 5 3 2 7 23 14 0 | 0 300 0 0 0 | - | 18:12 18:13 | 0 25 25
+tw queen5 nodes=25 => 18 15 false 25 | 24 22 21 20 19 18 17 15 12 11 10 8 6 4 1 16 13 9 5 3 2 7 23 14 0 | 0 3050 0 72 0 | - | 18:12 18:13 18:14 18:15 18:15 | 0 216 240
+tw queen5 nodes=200 => 18 16 false 200 | 24 22 21 20 19 18 17 15 12 11 10 8 6 4 1 16 13 9 5 3 2 7 23 14 0 | 0 9063 0 660 0 | - | 18:12 18:13 18:14 18:15 18:16 18:16 | 0 470 661
+tw grid4 unlimited => 4 4 true 0 | 14 11 10 9 8 6 5 2 13 7 4 1 15 12 3 0 | 0 0 0 0 0 | - | 4:4 | 0 0 0
+tw grid4 nodes=1 => 4 4 true 0 | 14 11 10 9 8 6 5 2 13 7 4 1 15 12 3 0 | 0 0 0 0 0 | - | 4:4 | 0 0 0
+tw grid4 nodes=25 => 4 4 true 0 | 14 11 10 9 8 6 5 2 13 7 4 1 15 12 3 0 | 0 0 0 0 0 | - | 4:4 | 0 0 0
+tw grid4 nodes=200 => 4 4 true 0 | 14 11 10 9 8 6 5 2 13 7 4 1 15 12 3 0 | 0 0 0 0 0 | - | 4:4 | 0 0 0
+tw grid5 unlimited => 5 5 true 43 | 22 17 14 13 11 10 7 2 18 12 16 8 6 23 21 19 15 9 5 3 1 24 20 4 0 | 12 215 0 104 0 | - | 5:4 5:5 | 0 12 42
+tw grid5 nodes=1 => 5 4 false 1 | 22 17 14 13 11 10 7 2 18 12 16 8 6 23 21 19 15 9 5 3 1 24 20 4 0 | 1 0 0 0 0 | - | 5:4 5:4 | 0 1 1
+tw grid5 nodes=25 => 5 4 false 25 | 22 17 14 13 11 10 7 2 18 12 16 8 6 23 21 19 15 9 5 3 1 24 20 4 0 | 12 128 0 65 0 | - | 5:4 5:4 | 0 12 32
+tw grid5 nodes=200 => 5 5 true 43 | 22 17 14 13 11 10 7 2 18 12 16 8 6 23 21 19 15 9 5 3 1 24 20 4 0 | 12 215 0 104 0 | - | 5:4 5:5 | 0 12 42
+tw myciel4 unlimited => 10 10 true 219 | 1 2 3 4 6 9 10 12 15 21 22 0 14 13 8 7 5 20 17 19 18 16 11 | 99 1581 0 268 0 | - | 11:8 11:9 11:10 10:10 | 106 244 458
+tw myciel4 nodes=1 => 11 8 false 1 | 22 21 9 8 7 6 5 10 4 3 2 1 0 15 12 14 13 11 20 17 19 18 16 | 0 21 0 2 0 | - | 11:8 11:8 | 0 21 21
+tw myciel4 nodes=25 => 11 8 false 25 | 22 21 9 8 7 6 5 10 4 3 2 1 0 15 12 14 13 11 20 17 19 18 16 | 20 294 0 18 0 | - | 11:8 11:8 | 6 63 87
+tw myciel4 nodes=200 => 11 9 false 200 | 22 21 9 8 7 6 5 10 4 3 2 1 0 15 12 14 13 11 20 17 19 18 16 | 83 1581 0 261 0 | - | 11:8 11:9 11:9 | 103 244 439
+ghw rh10-7-3-0 unlimited => 2 2 true 1 | 9 8 3 4 1 7 6 5 2 0 | 1 0 0 1 0 | 0/2 | 2:1 2:2 | 0 0 0
+ghw rh10-7-3-0 nodes=1 => 2 2 true 1 | 9 8 3 4 1 7 6 5 2 0 | 1 0 0 1 0 | 0/2 | 2:1 2:2 | 0 0 0
+ghw rh10-7-3-0 nodes=25 => 2 2 true 1 | 9 8 3 4 1 7 6 5 2 0 | 1 0 0 1 0 | 0/2 | 2:1 2:2 | 0 0 0
+ghw rh10-7-3-0 nodes=200 => 2 2 true 1 | 9 8 3 4 1 7 6 5 2 0 | 1 0 0 1 0 | 0/2 | 2:1 2:2 | 0 0 0
+ghw rh11-7-3-1 unlimited => 2 2 true 5 | 10 9 2 8 7 1 6 5 0 4 3 | 5 0 0 1 0 | 0/10 | 2:1 2:2 | 0 1 4
+ghw rh11-7-3-1 nodes=1 => 2 1 false 1 | 10 9 2 8 7 1 6 5 0 4 3 | 1 0 0 0 0 | 0/2 | 2:1 2:1 | 0 1 1
+ghw rh11-7-3-1 nodes=25 => 2 2 true 5 | 10 9 2 8 7 1 6 5 0 4 3 | 5 0 0 1 0 | 0/10 | 2:1 2:2 | 0 1 4
+ghw rh11-7-3-1 nodes=200 => 2 2 true 5 | 10 9 2 8 7 1 6 5 0 4 3 | 5 0 0 1 0 | 0/10 | 2:1 2:2 | 0 1 4
+ghw rh12-8-4-2 unlimited => 2 2 true 2 | 11 10 9 6 4 8 7 0 5 3 2 1 | 2 0 0 1 0 | 0/4 | 2:1 2:2 | 0 1 1
+ghw rh12-8-4-2 nodes=1 => 2 1 false 1 | 11 10 9 6 4 8 7 0 5 3 2 1 | 1 0 0 0 0 | 0/2 | 2:1 2:1 | 0 1 1
+ghw rh12-8-4-2 nodes=25 => 2 2 true 2 | 11 10 9 6 4 8 7 0 5 3 2 1 | 2 0 0 1 0 | 0/4 | 2:1 2:2 | 0 1 1
+ghw rh12-8-4-2 nodes=200 => 2 2 true 2 | 11 10 9 6 4 8 7 0 5 3 2 1 | 2 0 0 1 0 | 0/4 | 2:1 2:2 | 0 1 1
+ghw rh14-11-4-1 unlimited => 3 3 true 54 | 13 8 7 5 3 11 10 0 4 1 12 9 6 2 | 4 95 0 245 0 | 210/147 | 3:2 3:3 | 5 13 53
+ghw rh14-11-4-1 nodes=1 => 3 2 false 1 | 13 8 7 5 3 11 10 0 4 1 12 9 6 2 | 1 0 0 0 0 | 0/2 | 3:2 3:2 | 0 1 1
+ghw rh14-11-4-1 nodes=25 => 3 2 false 25 | 13 8 7 5 3 11 10 0 4 1 12 9 6 2 | 4 50 0 105 0 | 78/84 | 3:2 3:2 | 1 13 31
+ghw rh14-11-4-1 nodes=200 => 3 3 true 54 | 13 8 7 5 3 11 10 0 4 1 12 9 6 2 | 4 95 0 245 0 | 210/147 | 3:2 3:3 | 5 13 53
+ghw circuit14-10-1 unlimited => 2 2 true 6 | 13 9 8 7 1 3 4 6 2 12 11 0 10 5 | 6 0 0 1 0 | 0/12 | 2:1 2:2 | 0 1 5
+ghw circuit14-10-1 nodes=1 => 2 1 false 1 | 13 9 8 7 1 3 4 6 2 12 11 0 10 5 | 1 0 0 0 0 | 0/2 | 2:1 2:1 | 0 1 1
+ghw circuit14-10-1 nodes=25 => 2 2 true 6 | 13 9 8 7 1 3 4 6 2 12 11 0 10 5 | 6 0 0 1 0 | 0/12 | 2:1 2:2 | 0 1 5
+ghw circuit14-10-1 nodes=200 => 2 2 true 6 | 13 9 8 7 1 3 4 6 2 12 11 0 10 5 | 6 0 0 1 0 | 0/12 | 2:1 2:2 | 0 1 5
+ghw circuit16-12-4 unlimited => 3 3 true 10 | 11 10 9 7 5 4 3 8 6 0 2 12 15 14 13 1 | 4 20 0 40 0 | 17/42 | 3:2 3:3 | 0 4 9
+ghw circuit16-12-4 nodes=1 => 3 2 false 1 | 11 10 9 7 5 4 3 8 6 0 2 12 15 14 13 1 | 1 0 0 0 0 | 0/2 | 3:2 3:2 | 0 1 1
+ghw circuit16-12-4 nodes=25 => 3 3 true 10 | 11 10 9 7 5 4 3 8 6 0 2 12 15 14 13 1 | 4 20 0 40 0 | 17/42 | 3:2 3:3 | 0 4 9
+ghw circuit16-12-4 nodes=200 => 3 3 true 10 | 11 10 9 7 5 4 3 8 6 0 2 12 15 14 13 1 | 4 20 0 40 0 | 17/42 | 3:2 3:3 | 0 4 9
+ghw clique6 unlimited => 3 3 true 0 | 5 4 3 2 1 0 | 0 0 0 0 0 | - | 3:3 | 0 0 0
+ghw clique6 nodes=1 => 3 3 true 0 | 5 4 3 2 1 0 | 0 0 0 0 0 | - | 3:3 | 0 0 0
+ghw clique6 nodes=25 => 3 3 true 0 | 5 4 3 2 1 0 | 0 0 0 0 0 | - | 3:3 | 0 0 0
+ghw clique6 nodes=200 => 3 3 true 0 | 5 4 3 2 1 0 | 0 0 0 0 0 | - | 3:3 | 0 0 0
+ghw grid2d-h5 unlimited => 2 2 true 9 | 7 9 10 11 12 8 6 5 4 3 2 1 0 | 1 76 0 40 0 | 31/49 | 3:2 2:2 | 0 24 31
+ghw grid2d-h5 nodes=1 => 3 2 false 1 | 11 9 8 7 6 5 4 3 1 12 10 2 0 | 0 18 0 9 0 | 0/14 | 3:2 3:2 | 0 4 4
+ghw grid2d-h5 nodes=25 => 2 2 true 9 | 7 9 10 11 12 8 6 5 4 3 2 1 0 | 1 76 0 40 0 | 31/49 | 3:2 2:2 | 0 24 31
+ghw grid2d-h5 nodes=200 => 2 2 true 9 | 7 9 10 11 12 8 6 5 4 3 2 1 0 | 1 76 0 40 0 | 31/49 | 3:2 2:2 | 0 24 31
+ghw grid2d-h6 unlimited => 3 3 true 907 | 1 3 6 7 10 14 16 11 17 13 9 15 12 8 4 5 2 0 | 16 10232 0 649 0 | 4749/1294 | 4:2 4:3 3:3 | 948 2634 3407
+ghw grid2d-h6 nodes=1 => 4 2 false 1 | 16 13 11 10 9 8 6 7 4 1 14 3 15 12 5 2 17 0 | 0 64 0 2 0 | 0/19 | 4:2 4:2 | 0 16 16
+ghw grid2d-h6 nodes=25 => 4 2 false 25 | 16 13 11 10 9 8 6 7 4 1 14 3 15 12 5 2 17 0 | 1 399 0 21 0 | 87/117 | 4:2 4:2 | 15 119 143
+ghw grid2d-h6 nodes=200 => 4 2 false 200 | 16 13 11 10 9 8 6 7 4 1 14 3 15 12 5 2 17 0 | 8 2023 0 142 0 | 951/399 | 4:2 4:2 | 208 601 767
+ghw rh16-13-4-5 unlimited => 2 2 true 0 | 15 14 10 8 3 0 2 1 11 13 12 9 7 6 5 4 | 0 0 0 0 0 | - | 2:2 | 0 0 0
+ghw rh16-13-4-5 nodes=1 => 2 2 true 0 | 15 14 10 8 3 0 2 1 11 13 12 9 7 6 5 4 | 0 0 0 0 0 | - | 2:2 | 0 0 0
+ghw rh16-13-4-5 nodes=25 => 2 2 true 0 | 15 14 10 8 3 0 2 1 11 13 12 9 7 6 5 4 | 0 0 0 0 0 | - | 2:2 | 0 0 0
+ghw rh16-13-4-5 nodes=200 => 2 2 true 0 | 15 14 10 8 3 0 2 1 11 13 12 9 7 6 5 4 | 0 0 0 0 0 | - | 2:2 | 0 0 0
+ghw circuit20-16-2 unlimited => 3 3 true 24 | 15 12 11 8 7 5 6 4 2 0 10 9 1 16 19 18 14 17 13 3 | 16 34 0 55 0 | 39/65 | 3:2 3:3 | 2 7 23
+ghw circuit20-16-2 nodes=1 => 3 2 false 1 | 15 12 11 8 7 5 6 4 2 0 10 9 1 16 19 18 14 17 13 3 | 1 0 0 0 0 | 0/2 | 3:2 3:2 | 0 1 1
+ghw circuit20-16-2 nodes=25 => 3 3 true 24 | 15 12 11 8 7 5 6 4 2 0 10 9 1 16 19 18 14 17 13 3 | 16 34 0 55 0 | 39/65 | 3:2 3:3 | 2 7 23
+ghw circuit20-16-2 nodes=200 => 3 3 true 24 | 15 12 11 8 7 5 6 4 2 0 10 9 1 16 19 18 14 17 13 3 | 16 34 0 55 0 | 39/65 | 3:2 3:3 | 2 7 23
+";
+
+/// Compares `actual` against the `golden` rows; panics listing every
+/// differing row.
+fn assert_rows(golden: &str, actual: Vec<(String, String)>) {
+    let expected: Vec<(&str, &str)> = golden
         .lines()
         .filter(|l| !l.trim().is_empty())
         .map(|l| l.split_once(" => ").expect("row name => outcome"))
         .map(|(k, v)| (k.trim(), v))
         .collect();
-    let actual = actual_rows();
     let mut diffs = Vec::new();
     for (i, (name, got)) in actual.iter().enumerate() {
         match expected.get(i) {
@@ -466,4 +589,14 @@ fn bb_outcomes_match_the_recorded_golden_values() {
         diffs.len(),
         diffs.join("\n")
     );
+}
+
+#[test]
+fn bb_outcomes_match_the_recorded_golden_values() {
+    assert_rows(GOLDEN, actual_rows());
+}
+
+#[test]
+fn astar_outcomes_match_the_recorded_golden_values() {
+    assert_rows(ASTAR_GOLDEN, astar_rows());
 }
