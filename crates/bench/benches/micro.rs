@@ -254,6 +254,21 @@ fn bench_certification(hn: &mut Harness) {
     }
 }
 
+/// Whole A\* searches, so the figure is the per-node cost times the
+/// expansions: A\*-tw on queen(5) (1166 expansions) and A\*-ghw on
+/// grid2d-h 6 (907 expansions, exact covers through the cover cache).
+fn bench_astar(hn: &mut Harness) {
+    let limits = ghd_search::SearchLimits::unlimited;
+    let g = graphs::queen(5);
+    hn.bench("astar/tw/queen5", || {
+        black_box(ghd_search::astar_tw(black_box(&g), limits()));
+    });
+    let h = hypergraphs::grid2d(6);
+    hn.bench("astar/ghw/grid2d_h6", || {
+        black_box(ghd_search::astar_ghw(black_box(&h), limits()));
+    });
+}
+
 /// The split search on 24 queen(4) blocks glued into a chain at seeded cut
 /// vertices: one distinct block, so one block search plus the witness.
 fn bench_split(hn: &mut Harness) {
@@ -341,6 +356,7 @@ fn main() {
     bench_root_upper_bound(&mut hn);
     bench_node_lower_bound(&mut hn);
     bench_certification(&mut hn);
+    bench_astar(&mut hn);
     bench_split(&mut hn);
     bench_ga_operators(&mut hn);
     bench_csp_joins(&mut hn);
