@@ -67,10 +67,6 @@ fn bench_evaluators(hn: &mut Harness) {
     hn.bench("ghw_eval/grid2d_12 (Fig 7.1)", || {
         black_box(ghw_eval.width::<StdRng>(black_box(&sigma_h), None));
     });
-    let mut cache = CoverCache::new();
-    hn.bench("ghw_eval_cached/grid2d_12 (warm cover cache)", || {
-        black_box(ghw_eval.width_cached(black_box(&sigma_h), &mut cache));
-    });
 }
 
 fn bench_set_cover(hn: &mut Harness) {

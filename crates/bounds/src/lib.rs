@@ -17,6 +17,5 @@ pub use lower::{
     tw_lower_bound_elim, LbScratch,
 };
 pub use upper::{
-    ghw_upper_bound, ghw_upper_bound_cached, mcs_ordering, min_degree_ordering,
-    min_fill_ordering, tw_upper_bound,
+    ghw_upper_bound, mcs_ordering, min_degree_ordering, min_fill_ordering, tw_upper_bound,
 };

@@ -214,21 +214,9 @@ pub fn ghw_upper_bound<R: Rng + ?Sized>(
     h: &Hypergraph,
     mut rng: Option<&mut R>,
 ) -> (usize, EliminationOrdering) {
-    let sigma = min_fill_ordering(&h.primal_graph(), rng.as_deref_mut());
-    let w = GhwEvaluator::new(h).width(&sigma, rng);
-    (w, sigma)
-}
-
-/// [`ghw_upper_bound`] with the per-bag greedy covers routed through a
-/// [`CoverCache`](ghd_core::setcover::CoverCache) shared with the caller's
-/// search: the heuristic warms the cache with every root bag.
-/// Deterministic (first-maximum tie rule).
-pub fn ghw_upper_bound_cached(
-    h: &Hypergraph,
-    cache: &mut ghd_core::setcover::CoverCache,
-) -> (usize, EliminationOrdering) {
-    let sigma = min_fill_ordering::<ghd_prng::rngs::StdRng>(&h.primal_graph(), None);
-    let w = GhwEvaluator::new(h).width_cached(&sigma, cache);
+    let primal = h.primal_graph();
+    let sigma = min_fill_ordering(&primal, rng.as_deref_mut());
+    let w = GhwEvaluator::with_primal(h, &primal).width(&sigma, rng);
     (w, sigma)
 }
 
@@ -298,27 +286,6 @@ mod tests {
         let h = hypergraphs::adder(10);
         let (w, _) = ghw_upper_bound::<StdRng>(&h, None);
         assert!(w <= 3, "adder ghw ub should be tiny, got {w}");
-    }
-
-    #[test]
-    fn cached_ghw_upper_bound_matches_uncached_tie_rule_and_hits() {
-        use ghd_core::setcover::CoverCache;
-        for seed in 0..5u64 {
-            let h = hypergraphs::random_hypergraph(15, 10, 4, seed);
-            let mut cache = CoverCache::new();
-            let (w1, s1) = ghw_upper_bound_cached(&h, &mut cache);
-            let (w2, s2) = ghw_upper_bound_cached(&h, &mut cache);
-            assert_eq!((w1, s1.as_slice()), (w2, s2.as_slice()), "seed {seed}");
-            assert!(cache.stats().hits > 0, "second run should hit");
-            // the width is a genuine upper bound on the ordering's exact
-            // realization
-            let ghd = ghd_core::bucket::ghd_from_ordering(
-                &h,
-                &s1,
-                ghd_core::setcover::CoverMethod::Exact,
-            );
-            assert!(ghd.width() <= w1, "seed {seed}");
-        }
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! millions of evaluations do not allocate.
 
 use crate::ordering::EliminationOrdering;
-use crate::setcover::CoverCache;
 use ghd_hypergraph::{BitSet, Graph, Hypergraph};
 use ghd_prng::{Rng, RngExt};
 
@@ -112,13 +111,12 @@ impl TwEvaluator {
 /// Evaluates the generalized-hypertree width of orderings on a fixed
 /// hypergraph (Fig 7.1): each bucket's bag `{v} ∪ X` is covered greedily
 /// (Fig 7.2) and the maximum cover size is the fitness.
-pub struct GhwEvaluator {
+pub struct GhwEvaluator<'a> {
     engine: Engine,
-    h: Hypergraph,
+    h: &'a Hypergraph,
     covered: BitSet,
     // reusable buffers of the allocation-free greedy cover
     bag_vertices: Vec<u32>,
-    bag_set: BitSet,
     uncovered: BitSet,
     candidates: Vec<u32>,
     cand_stamp: Vec<u32>,
@@ -132,15 +130,19 @@ pub struct GhwEvaluator {
     tied: Vec<usize>,
 }
 
-impl GhwEvaluator {
-    /// Prepares an evaluator for `h` (the primal graph is derived once).
-    pub fn new(h: &Hypergraph) -> Self {
-        let primal = h.primal_graph();
+impl<'a> GhwEvaluator<'a> {
+    /// Prepares an evaluator for `h`, deriving its primal graph.
+    pub fn new(h: &'a Hypergraph) -> Self {
+        Self::with_primal(h, &h.primal_graph())
+    }
+
+    /// Prepares an evaluator for `h` from its already built primal graph.
+    pub fn with_primal(h: &'a Hypergraph, primal: &Graph) -> Self {
+        debug_assert_eq!(primal.num_vertices(), h.num_vertices());
         GhwEvaluator {
-            engine: Engine::new(&primal),
+            engine: Engine::new(primal),
             covered: h.covered_vertices(),
             bag_vertices: Vec::new(),
-            bag_set: BitSet::new(h.num_vertices()),
             uncovered: BitSet::new(h.num_vertices()),
             candidates: Vec::new(),
             cand_stamp: vec![0; h.num_edges()],
@@ -149,7 +151,7 @@ impl GhwEvaluator {
             gain: vec![0; h.num_edges()],
             buckets: vec![BitSet::new(0); h.rank() + 1],
             tied: Vec::new(),
-            h: h.clone(),
+            h,
         }
     }
 
@@ -270,40 +272,6 @@ impl GhwEvaluator {
         self.engine.reset();
         width
     }
-
-    /// Like [`GhwEvaluator::width`] with deterministic tie-breaking, but
-    /// every bag cover is routed through `cache` (the first-maximum greedy
-    /// of `setcover`), so repeated bags — across positions *and* across
-    /// orderings, which share most buckets near the root — are solved once.
-    ///
-    /// The cache must belong to the same hypergraph as this evaluator.
-    pub fn width_cached(&mut self, sigma: &EliminationOrdering, cache: &mut CoverCache) -> usize {
-        let n = sigma.len();
-        debug_assert_eq!(n, self.engine.lists.len());
-        let mut width = 0;
-        for i in (0..n).rev() {
-            if width > i {
-                break; // same Fig 7.1 bound as `width`
-            }
-            let v = sigma.at(i);
-            self.engine.collect_bag(v, i, sigma);
-            self.bag_set.clear();
-            if self.covered.contains(v) {
-                self.bag_set.insert(v);
-            }
-            for idx in 0..self.engine.bag.len() {
-                let x = self.engine.bag[idx] as usize;
-                if self.covered.contains(x) {
-                    self.bag_set.insert(x);
-                }
-            }
-            let k = cache.greedy_cover_size(&self.bag_set, &self.h);
-            width = width.max(k);
-            self.engine.forward(sigma);
-        }
-        self.engine.reset();
-        width
-    }
 }
 
 #[cfg(test)]
@@ -369,30 +337,6 @@ mod tests {
                     greedy_ghd.width()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn cached_width_matches_bucket_greedy_and_reuses_covers() {
-        use crate::setcover::CoverCache;
-        let mut rng = StdRng::seed_from_u64(7);
-        for seed in 0..6u64 {
-            let h = hypergraphs::random_hypergraph(16, 11, 4, seed);
-            let mut eval = GhwEvaluator::new(&h);
-            let mut cache = CoverCache::new();
-            for _ in 0..4 {
-                let sigma = EliminationOrdering::random(16, &mut rng);
-                let w = eval.width_cached(&sigma, &mut cache);
-                // identical on replay (cache answers are proven facts)
-                assert_eq!(w, eval.width_cached(&sigma, &mut cache), "seed {seed}");
-                // same greedy rule as the bucket-elimination pipeline
-                let ghd = ghd_from_ordering(&h, &sigma, CoverMethod::Greedy);
-                assert_eq!(w, ghd.width(), "seed {seed}");
-                let exact = ghd_from_ordering(&h, &sigma, CoverMethod::Exact);
-                assert!(w >= exact.width(), "seed {seed}");
-            }
-            let stats = cache.stats();
-            assert!(stats.hits > 0, "replays must hit the cache: {stats:?}");
         }
     }
 

@@ -5,13 +5,18 @@
 use crate::engine::{run_ga, GaConfig, GaResult};
 use ghd_core::eval::GhwEvaluator;
 use ghd_core::EliminationOrdering;
-use ghd_hypergraph::Hypergraph;
+use ghd_hypergraph::{Graph, Hypergraph};
 use ghd_prng::rngs::StdRng;
 
 /// Runs GA-ghw on a hypergraph, returning the best width found (a
 /// generalized hypertree width upper bound) and the realising ordering.
 pub fn ga_ghw(h: &Hypergraph, cfg: &GaConfig) -> GaResult {
-    let mut eval = GhwEvaluator::new(h);
+    run(h, &h.primal_graph(), cfg)
+}
+
+/// [`ga_ghw`] on `h` with its primal graph already built.
+fn run(h: &Hypergraph, primal: &Graph, cfg: &GaConfig) -> GaResult {
+    let mut eval = GhwEvaluator::with_primal(h, primal);
     // a separate stream for the greedy cover's random tie-breaks, so the
     // engine's own randomness stays comparable across evaluators
     let mut cover_rng = StdRng::seed_from_u64(cfg.seed ^ 0x9e37_79b9_7f4a_7c15);
@@ -33,7 +38,7 @@ pub fn ga_ghw_seeded(h: &Hypergraph, cfg: &GaConfig) -> GaResult {
         ghd_bounds::upper::min_degree_ordering::<StdRng>(&primal, None).into_vec(),
         ghd_bounds::upper::mcs_ordering::<StdRng>(&primal, None).into_vec(),
     ]);
-    ga_ghw(h, &cfg)
+    run(h, &primal, &cfg)
 }
 
 #[cfg(test)]

@@ -135,15 +135,15 @@ fn clamp(x: f64, lo: f64, hi: f64) -> f64 {
 /// width progress of the last epoch. Islands only share data at the epoch
 /// barriers (migration, orientation), so the evolution step hands each
 /// island to a worker via [`ghd_par::for_each_mut`].
-struct Island {
+struct Island<'a> {
     pop: Population,
-    eval: GhwEvaluator,
+    eval: GhwEvaluator<'a>,
     rng: StdRng,
     params: (f64, f64),
     progress: usize,
 }
 
-impl Island {
+impl Island<'_> {
     fn fitness_of(eval: &mut GhwEvaluator, rng: &mut StdRng, genes: &[usize]) -> usize {
         let sigma = EliminationOrdering::new(genes.to_vec()).expect("permutation");
         eval.width(&sigma, Some(rng))
@@ -183,6 +183,7 @@ pub fn saiga_ghw(h: &Hypergraph, cfg: &SaigaConfig) -> SaigaResult {
     assert!(cfg.islands >= 2, "a ring needs at least two islands");
     let n = h.num_vertices();
     let mut meta_rng = StdRng::seed_from_u64(cfg.seed);
+    let primal = h.primal_graph();
 
     // initial parameter vectors drawn uniformly from their ranges (§7.2.3)
     let params: Vec<(f64, f64)> = (0..cfg.islands)
@@ -209,7 +210,7 @@ pub fn saiga_ghw(h: &Hypergraph, cfg: &SaigaConfig) -> SaigaResult {
                 initial_seeds: Vec::new(),
             };
             // per-island fitness evaluator with its own tie-break stream
-            let mut eval = GhwEvaluator::new(h);
+            let mut eval = GhwEvaluator::with_primal(h, &primal);
             let mut rng = StdRng::seed_from_u64(
                 cfg.seed ^ 0x5851_f42d_4c95_7f2d_u64.wrapping_mul(i as u64 + 1),
             );

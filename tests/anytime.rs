@@ -277,14 +277,10 @@ fn telemetry_is_behaviourally_free_across_the_search_suite() {
 }
 
 /// The set-cover transposition cache is behaviourally invisible: identical
-/// widths with the cache on and off, and solving the same instance twice
-/// through one shared cache produces hits (Fig 2.11's hypergraph, ghw 2,
-/// and a clique).
+/// widths with the cache on and off (Fig 2.11's hypergraph, ghw 2, and a
+/// clique).
 #[test]
 fn cover_cache_is_transparent_and_effective() {
-    use ghd::bounds::ghw_upper_bound_cached;
-    use ghd::core::setcover::CoverCache;
-
     let fig_2_11 = Hypergraph::from_edges(6, [vec![0, 1, 2], vec![0, 4, 5], vec![2, 3, 4]]);
     let clique = hypergraphs::clique(8);
     for (name, h, expect) in [("fig_2_11", &fig_2_11, Some(2)), ("clique_8", &clique, Some(4))] {
@@ -305,23 +301,6 @@ fn cover_cache_is_transparent_and_effective() {
             assert_eq!(on.upper_bound, w, "{name}");
         }
         assert!(off.cover_cache.is_none(), "{name}");
-
-        // solving twice through one shared cache: the second pass hits
-        let mut cache = CoverCache::new();
-        let (w1, _) = ghw_upper_bound_cached(h, &mut cache);
-        let after_first = cache.stats();
-        let (w2, _) = ghw_upper_bound_cached(h, &mut cache);
-        let after_second = cache.stats();
-        assert_eq!(w1, w2, "{name}");
-        assert!(after_first.misses > 0, "{name}");
-        assert!(
-            after_second.hits > after_first.hits,
-            "{name}: second solve should replay cached covers"
-        );
-        assert_eq!(
-            after_second.misses, after_first.misses,
-            "{name}: second solve should add no misses"
-        );
     }
 }
 
