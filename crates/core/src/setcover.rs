@@ -396,8 +396,9 @@ pub struct CoverCache {
     /// against self-generated bags).
     map: HashMap<Box<[u64]>, CacheEntry, FxBuildHasher>,
     /// Dense path: entries indexed by a caller-supplied interned key (see
-    /// `ghd_search::StateInterner`), so the closed set and the cover cache
-    /// share one canonical key storage and probing here is a vector index.
+    /// `ghd_search::StateInterner`): each search worker interns its cover
+    /// targets once, so the key bits live in its interner and probing here
+    /// is a vector index.
     dense: Vec<CacheEntry>,
     /// Occupied (fact-holding) entries of `dense`.
     dense_live: usize,

@@ -26,9 +26,10 @@ pub(crate) enum Completion {
     Within(usize),
 }
 
-/// A width measure over elimination orderings: everything in which BB-tw
-/// and BB-ghw differ. One value describes the instance and is shared by
-/// all workers; each worker owns a [`Measure::Worker`] (scratch, memos).
+/// A width measure over elimination orderings: everything in which the tw
+/// and ghw searches differ, for this engine and the A\* one (`astar.rs`).
+/// One value describes the instance and is shared by all workers; each
+/// worker owns a [`Measure::Worker`] (scratch, memos).
 pub(crate) trait Measure: Sync {
     type Worker: Send;
 
@@ -87,7 +88,8 @@ pub(crate) trait Measure: Sync {
         None
     }
 
-    /// Bytes the workers' state stores reserved (a parallel run's gauge).
+    /// Bytes the workers' state stores reserved (a parallel run's gauge,
+    /// and part of A\*'s seen gauge).
     fn state_bytes(&self, _workers: &[Self::Worker]) -> usize {
         0
     }
@@ -97,10 +99,10 @@ pub(crate) trait Measure: Sync {
 /// upper bound (realised by `order`), which may settle it before any
 /// expansion.
 pub(crate) struct Root {
-    n: usize,
-    lb: usize,
-    ub: usize,
-    order: Vec<usize>,
+    pub n: usize,
+    pub lb: usize,
+    pub ub: usize,
+    pub order: Vec<usize>,
 }
 
 impl Root {
@@ -109,7 +111,7 @@ impl Root {
         Root { n, lb, ub, order }
     }
 
-    fn settled(&self) -> bool {
+    pub fn settled(&self) -> bool {
         self.lb >= self.ub || self.n <= 1
     }
 
@@ -126,7 +128,7 @@ impl Root {
     }
 
     /// The result when the root bounds meet: the heuristic ordering, exact.
-    fn settled_result(self, budget: &Budget, telemetry: Telemetry) -> SearchResult {
+    pub fn settled_result(self, budget: &Budget, telemetry: Telemetry) -> SearchResult {
         SearchResult {
             upper_bound: self.ub,
             lower_bound: self.ub,

@@ -1,6 +1,7 @@
 //! Algorithm BB-ghw (Chapter 8, Fig 8.3): branch and bound over elimination
 //! orderings for the generalized hypertree width, justified by Theorem 3
-//! (some ordering attains `ghw` under exact set covering).
+//! (some ordering attains `ghw` under exact set covering), and A\*-ghw
+//! (Chapter 9, Fig 9.1), the best-first search over the same measure.
 //!
 //! Per state the cost is the largest *exact* set cover of a bucket bag so
 //! far; the heuristic is tw-ksc-width (Fig 8.1) on the residual graph; the
@@ -9,6 +10,7 @@
 //! of PR1 closes subtrees whose residual vertex set is already coverable
 //! within the current cost.
 
+use crate::astar;
 use crate::bb::{self, Completion, Measure, Root};
 use crate::common::{Budget, SearchLimits, SearchResult, Telemetry};
 use crate::interner::StateInterner;
@@ -58,24 +60,6 @@ impl Default for BbGhwConfig {
             steal: StealConfig::default(),
         }
     }
-}
-
-/// Residual lower bound: treewidth bound on the current graph lifted through
-/// the k-set-cover bound (Fig 8.1). Computes the same value as
-/// `tw_ksc_width(h, &eg.to_graph(), tw_lower_bound(&eg.to_graph(), None))`
-/// without materialising the residual graph: the treewidth bound runs
-/// directly on the elimination graph through `scratch`, and the k-set-cover
-/// answer comes from the precomputed prefix-sum table.
-pub(crate) fn residual_ghw_lb(
-    eg: &EliminationGraph,
-    scratch: &mut LbScratch,
-    ksc: &KscTable,
-) -> usize {
-    if eg.num_alive() == 0 {
-        return 0;
-    }
-    let tw_lb = tw_lower_bound_elim::<StdRng>(eg, None, scratch);
-    ksc.bound(tw_lb + 1)
 }
 
 /// Interns `key` into the worker's interner; `None` (with the sticky
@@ -272,8 +256,17 @@ impl Measure for Ghw<'_> {
         k
     }
 
+    /// The treewidth bound on the residual graph lifted through the
+    /// k-set-cover bound (Fig 8.1): the value of `tw_ksc_width(h, &r,
+    /// tw_lower_bound(&r, None))` on `r = eg.to_graph()`, without
+    /// materialising `r` — the treewidth bound runs on the elimination
+    /// graph and the k-set-cover answer comes from the prefix-sum table.
     fn node_lb(&self, w: &mut GhwWorker, eg: &EliminationGraph) -> usize {
-        residual_ghw_lb(eg, &mut w.lb_scratch, &self.ksc)
+        if eg.num_alive() == 0 {
+            return 0;
+        }
+        let tw_lb = tw_lower_bound_elim::<StdRng>(eg, None, &mut w.lb_scratch);
+        self.ksc.bound(tw_lb + 1)
     }
 
     /// With `CoverMethod::Greedy` or a capped-out cover, g overestimates and
@@ -315,7 +308,8 @@ impl Measure for Ghw<'_> {
     }
 
     fn state_bytes(&self, workers: &[GhwWorker]) -> usize {
-        workers.iter().map(|w| w.interner.bytes()).sum()
+        let cache = |w: &GhwWorker| w.cache.as_ref().map_or(0, CoverCache::bytes);
+        workers.iter().map(|w| w.interner.bytes() + cache(w)).sum()
     }
 }
 
@@ -343,6 +337,17 @@ pub fn bb_ghw(h: &Hypergraph, cfg: &BbGhwConfig) -> SearchResult {
 /// result is measured from the budget's creation, not this call.
 pub fn bb_ghw_budgeted(h: &Hypergraph, cfg: &BbGhwConfig, budget: &Budget) -> SearchResult {
     bb::solve(root(h), budget, || Ghw::new(h, cfg))
+}
+
+/// Computes the generalized hypertree width of `h` with A\* under the
+/// default rules (exact covers through the cover cache). Exact when it
+/// terminates within limits; otherwise the maximum visited f-value is
+/// reported as an anytime lower bound (the thesis notes A\*-ghw "returned
+/// improved lower bounds" for several instances).
+pub fn astar_ghw(h: &Hypergraph, limits: SearchLimits) -> SearchResult {
+    let budget = Budget::new(&limits);
+    let cfg = BbGhwConfig::default();
+    astar::solve(root(h), &budget, || Ghw::new(h, &cfg))
 }
 
 /// Reconstructs the ordering [`bb_ghw`] reports for a *proven* `width`; the

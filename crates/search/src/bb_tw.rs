@@ -1,8 +1,11 @@
 //! Branch and bound for treewidth (§4.4.1) — the baseline exact algorithm
 //! in the style of QuickBB \[24\] / BB-tw \[5\], searching the elimination-
-//! ordering tree depth-first with reductions, PR1 and PR2. The search itself
-//! is the engine in `bb.rs`; this module supplies the treewidth measure.
+//! ordering tree depth-first with reductions, PR1 and PR2 — and A\*-tw
+//! (Chapter 5, Fig 5.1), searching it best-first with the same rules. The
+//! searches themselves are the engines in `bb.rs` and `astar.rs`; this
+//! module supplies the treewidth measure.
 
+use crate::astar;
 use crate::bb::{self, Completion, Measure, Root};
 use crate::common::{Budget, SearchLimits, SearchResult, Telemetry};
 use crate::rules::{find_reduction_tw, pr2_allowed_children, swappable_tw};
@@ -130,6 +133,16 @@ pub fn bb_tw(g: &Graph, cfg: &BbConfig) -> SearchResult {
 /// result is measured from the budget's creation, not this call.
 pub fn bb_tw_budgeted(g: &Graph, cfg: &BbConfig, budget: &Budget) -> SearchResult {
     bb::solve(root(g), budget, || Tw { g, cfg })
+}
+
+/// Computes the treewidth of `g` with A\* under the default rules (min-fill
+/// upper bound, minor-min-width / minor-γ_R heuristic, reductions, PR2).
+/// Exact when it terminates within limits; otherwise an anytime lower bound
+/// (§5.3) plus the heuristic upper bound are reported.
+pub fn astar_tw(g: &Graph, limits: SearchLimits) -> SearchResult {
+    let budget = Budget::new(&limits);
+    let cfg = BbConfig::default();
+    astar::solve(root(g), &budget, || Tw { g, cfg: &cfg })
 }
 
 /// Reconstructs the ordering [`bb_tw`] reports for a *proven* `width` (the

@@ -391,7 +391,8 @@ pub struct SearchStats {
     /// Peak bytes reserved by the A\* open list (bucket queue; 0 for BB).
     pub open_peak_bytes: u64,
     /// Peak bytes reserved by the A\* closed set (state interner plus its
-    /// dense g-side-table; 0 for BB).
+    /// dense g-side-table) and the measure's worker state (for ghw its
+    /// cover interner and cache); for BB only parallel runs report it.
     pub seen_peak_bytes: u64,
     /// Per-worker cover-cache stats (parallel BB-ghw; empty elsewhere).
     pub worker_caches: Vec<CacheStats>,

@@ -1,6 +1,6 @@
 //! Hash-consed interning of search-state keys.
 //!
-//! The A\*/BB closed sets and the set-cover transposition cache all key on
+//! The A\* closed set and the set-cover transposition cache both key on
 //! vertex-set bit patterns (`&[u64]` blocks of a [`BitSet`]). Before this
 //! module each table boxed its own copy of every key (`Box<[u64]>` per
 //! entry); the interner stores each distinct key exactly once in a
@@ -9,6 +9,9 @@
 //! * lookups hash the **borrowed** words (FxHash, no allocation, no copy),
 //! * each key is materialised at most once, when first seen,
 //! * side tables become plain `Vec`s indexed by id instead of hash maps.
+//!
+//! Each interner keys one kind of set: the A\* engine owns the closed
+//! set's, and each ghw search worker owns the one for its cover targets.
 //!
 //! [`BitSet`]: ghd_hypergraph::BitSet
 
@@ -20,8 +23,8 @@ const EMPTY: u32 = u32::MAX;
 /// An open-addressing hash-consing table over fixed-width word rows.
 ///
 /// Ids are dense and allocated in first-seen order, so a `Vec` indexed by id
-/// is the natural associated storage (see the closed sets in `astar_tw` /
-/// `astar_ghw` and the dense path of `ghd_core::setcover::CoverCache`).
+/// is the natural associated storage (see the A\* closed set in `astar.rs`
+/// and the dense path of `ghd_core::setcover::CoverCache`).
 pub struct StateInterner {
     arena: WordArena,
     /// Power-of-two open-addressing table of row ids (`EMPTY` = vacant),

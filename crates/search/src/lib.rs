@@ -7,10 +7,15 @@
 //! [`ghd_hypergraph::EliminationGraph`], and are *anytime*: given a
 //! [`SearchLimits`] budget they report the best upper bound found plus a
 //! proven lower bound.
+//!
+//! Treewidth and ghw differ only in what a bag costs (Chapter 3), so there
+//! are two engines, each written once over a crate-private width measure:
+//! the depth-first branch and bound (`bb.rs`) and the best-first A\*
+//! (`astar.rs`). `bb_tw` and `bb_ghw` supply the two measures and the
+//! public entry points of both engines.
 
 pub mod arena;
-pub mod astar_ghw;
-pub mod astar_tw;
+mod astar;
 mod bb;
 pub mod bb_ghw;
 pub mod bb_tw;
@@ -24,14 +29,12 @@ pub mod split;
 pub mod steal;
 
 pub use arena::WordArena;
-pub use astar_ghw::astar_ghw;
-pub use astar_tw::astar_tw;
 pub use interner::StateInterner;
 pub use queue::BucketQueue;
 pub use sharded::ShardedInterner;
 pub use steal::StealConfig;
-pub use bb_ghw::{bb_ghw, bb_ghw_budgeted, bb_ghw_parallel, witness_ghw, BbGhwConfig};
-pub use bb_tw::{bb_tw, bb_tw_budgeted, bb_tw_parallel, witness_tw, BbConfig, LbMode};
+pub use bb_ghw::{astar_ghw, bb_ghw, bb_ghw_budgeted, bb_ghw_parallel, witness_ghw, BbGhwConfig};
+pub use bb_tw::{astar_tw, bb_tw, bb_tw_budgeted, bb_tw_parallel, witness_tw, BbConfig, LbMode};
 pub use common::{
     Budget, CancelToken, IncumbentSample, PruneCounters, SearchLimits, SearchResult,
     SearchStats, StealCounters, Ticker,
