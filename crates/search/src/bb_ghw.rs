@@ -374,7 +374,18 @@ pub fn witness_ghw(
 /// [`crate::SearchStats::worker_caches`].
 pub fn bb_ghw_parallel(h: &Hypergraph, cfg: &BbGhwConfig, threads: usize) -> SearchResult {
     let budget = Budget::new(&cfg.limits);
-    bb::solve_parallel(root(h), &budget, threads, cfg.steal.depth, || {
+    bb_ghw_parallel_budgeted(h, cfg, threads, &budget)
+}
+
+/// [`bb_ghw_parallel`] drawing on an externally owned [`Budget`], for the
+/// split layer's monolithic fallback.
+pub(crate) fn bb_ghw_parallel_budgeted(
+    h: &Hypergraph,
+    cfg: &BbGhwConfig,
+    threads: usize,
+    budget: &Budget,
+) -> SearchResult {
+    bb::solve_parallel(root(h), budget, threads, cfg.steal.depth, || {
         Ghw::new(h, cfg)
     })
 }

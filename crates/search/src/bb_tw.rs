@@ -166,7 +166,18 @@ pub fn witness_tw(
 /// task that faults twice degrades the run to sound anytime bounds.
 pub fn bb_tw_parallel(g: &Graph, cfg: &BbConfig, threads: usize) -> SearchResult {
     let budget = Budget::new(&cfg.limits);
-    bb::solve_parallel(root(g), &budget, threads, cfg.steal.depth, || Tw { g, cfg })
+    bb_tw_parallel_budgeted(g, cfg, threads, &budget)
+}
+
+/// [`bb_tw_parallel`] drawing on an externally owned [`Budget`], for the
+/// split layer's monolithic fallback.
+pub(crate) fn bb_tw_parallel_budgeted(
+    g: &Graph,
+    cfg: &BbConfig,
+    threads: usize,
+    budget: &Budget,
+) -> SearchResult {
+    bb::solve_parallel(root(g), budget, threads, cfg.steal.depth, || Tw { g, cfg })
 }
 
 #[cfg(test)]

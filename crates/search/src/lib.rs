@@ -12,7 +12,8 @@
 //! are two engines, each written once over a crate-private width measure:
 //! the depth-first branch and bound (`bb.rs`) and the best-first A\*
 //! (`astar.rs`). `bb_tw` and `bb_ghw` supply the two measures and the
-//! public entry points of both engines.
+//! public entry points of both engines. The safe-separator split
+//! (`split.rs`) is likewise one driver over a tw and a ghw pipeline.
 
 pub mod arena;
 mod astar;

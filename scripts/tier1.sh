@@ -63,6 +63,30 @@ cmp -s "$SWEEP_DIR/ghw_seq.txt" "$SWEEP_DIR/ghw_nosplit.txt" || {
     exit 1
 }
 
+echo "==> split byte-identity (multi-block instances: --no-split and --threads 1/2/4 equal the default)"
+# queen 4 and grid2d-h 6 above do not split, so these two instances carry
+# the comparison; each must report a split, or the step compares the
+# monolithic search with itself
+for CASE in "tw crates/cli/tests/fixtures/blocky.col --td" \
+    "ghw crates/cli/tests/fixtures/components.hg --show"; do
+    set -- $CASE
+    "$GHD" "$1" "$2" --method bb --time 0 --stats json | grep -q '"split": {"enabled": true' || {
+        echo "$1 $2 no longer splits:" >&2
+        "$GHD" "$1" "$2" --method bb --time 0 --stats json >&2
+        exit 1
+    }
+    "$GHD" "$@" --method bb --time 0 > "$SWEEP_DIR/split_seq.txt"
+    for FLAGS in "--no-split" "--threads 1" "--threads 2" "--threads 4"; do
+        # FLAGS splits into words on purpose
+        "$GHD" "$@" --method bb --time 0 $FLAGS > "$SWEEP_DIR/split_alt.txt"
+        cmp -s "$SWEEP_DIR/split_seq.txt" "$SWEEP_DIR/split_alt.txt" || {
+            echo "$1 $2 $FLAGS diverged from the default split output:" >&2
+            diff "$SWEEP_DIR/split_seq.txt" "$SWEEP_DIR/split_alt.txt" >&2 || true
+            exit 1
+        }
+    done
+done
+
 echo "==> serve smoke (unix-socket daemon: concurrent submits == one-shot, warm hits, clean drain)"
 SOCK="$SWEEP_DIR/ghd.sock"
 "$GHD" serve "unix:$SOCK" --workers 2 --queue 16 > "$SWEEP_DIR/serve.log" 2>&1 &
