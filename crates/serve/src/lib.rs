@@ -34,6 +34,8 @@
 
 pub mod client;
 pub mod protocol;
+#[cfg(test)]
+mod render_pins;
 pub mod server;
 pub mod signal;
 
