@@ -40,6 +40,7 @@ pub use common::{
     Budget, CancelToken, IncumbentSample, PruneCounters, SearchLimits, SearchResult,
     SearchStats, StealCounters, Ticker,
 };
+pub use ghd_par::WorkerFault;
 pub use preprocess::{preprocess_tw, Preprocessed};
 pub use split::{
     split_ghw, split_tw, BlockOutcome, BlockSolution, BlockStore, SeparatorKind, SplitOutcome,
