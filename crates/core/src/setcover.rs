@@ -367,6 +367,28 @@ struct CacheEntry {
     greedy: Option<u32>,
 }
 
+impl CacheEntry {
+    /// The answer the stored facts give to a capped exact query: the
+    /// optimum when known, `cap` when the optimum is proven `≥ cap`.
+    fn exact_hit(&self, cap: usize) -> Option<usize> {
+        match self.exact {
+            Some(exact) => Some((exact as usize).min(cap)),
+            None => (self.lower as usize >= cap).then_some(cap),
+        }
+    }
+
+    /// Records what a completed capped search that answered `s` proved.
+    fn record_exact(&mut self, s: usize, cap: usize) {
+        if s < cap {
+            self.exact = Some(s as u32);
+            self.lower = self.lower.max(s as u32);
+        } else {
+            // completed search found nothing below cap ⇒ optimal ≥ cap
+            self.lower = self.lower.max(cap as u32);
+        }
+    }
+}
+
 /// Transposition cache for per-bag set covers, keyed on the target
 /// [`BitSet`]'s backing blocks.
 ///
@@ -472,6 +494,16 @@ impl CoverCache {
             .or_default()
     }
 
+    /// Counts a probe that `found` answers (a hit) or not (a miss).
+    fn count<T>(&mut self, found: Option<T>) -> Option<T> {
+        if found.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        found
+    }
+
     fn occupied(e: &CacheEntry) -> bool {
         // a stored fact always sets one of these: `exact`, a `lower ≥ 1`
         // (caps are ≥ 1 past the zero-cap short circuit) or a greedy size
@@ -507,27 +539,13 @@ impl CoverCache {
         if cap == 0 {
             return (0, true);
         }
-        if let Some(e) = self.map.get(target.blocks()) {
-            if let Some(exact) = e.exact {
-                self.hits += 1;
-                return ((exact as usize).min(cap), true);
-            }
-            if e.lower as usize >= cap {
-                self.hits += 1;
-                return (cap, true);
-            }
+        let found = self.map.get(target.blocks()).and_then(|e| e.exact_hit(cap));
+        if let Some(s) = self.count(found) {
+            return (s, true);
         }
-        self.misses += 1;
         let (s, ok) = exact_cover_size_capped(target, h, cap);
         if ok {
-            let e = self.entry_mut(target);
-            if s < cap {
-                e.exact = Some(s as u32);
-                e.lower = e.lower.max(s as u32);
-            } else {
-                // completed search found nothing below cap ⇒ optimal ≥ cap
-                e.lower = e.lower.max(cap as u32);
-            }
+            self.entry_mut(target).record_exact(s, cap);
         }
         (s, ok)
     }
@@ -546,27 +564,13 @@ impl CoverCache {
         if cap == 0 {
             return (0, true);
         }
-        if let Some(e) = self.dense.get(key as usize) {
-            if let Some(exact) = e.exact {
-                self.hits += 1;
-                return ((exact as usize).min(cap), true);
-            }
-            if e.lower as usize >= cap {
-                self.hits += 1;
-                return (cap, true);
-            }
+        let found = self.dense.get(key as usize).and_then(|e| e.exact_hit(cap));
+        if let Some(s) = self.count(found) {
+            return (s, true);
         }
-        self.misses += 1;
         let (s, ok) = exact_cover_size_capped(target, h, cap);
         if ok {
-            let e = self.dense_entry_mut(key);
-            if s < cap {
-                e.exact = Some(s as u32);
-                e.lower = e.lower.max(s as u32);
-            } else {
-                // completed search found nothing below cap ⇒ optimal ≥ cap
-                e.lower = e.lower.max(cap as u32);
-            }
+            self.dense_entry_mut(key).record_exact(s, cap);
         }
         (s, ok)
     }
@@ -575,13 +579,10 @@ impl CoverCache {
     /// [`CoverCache::exact_cover_size_capped_interned`] for the key
     /// contract).
     pub fn greedy_cover_size_interned(&mut self, key: u32, target: &BitSet, h: &Hypergraph) -> usize {
-        if let Some(e) = self.dense.get(key as usize) {
-            if let Some(g) = e.greedy {
-                self.hits += 1;
-                return g as usize;
-            }
+        let found = self.dense.get(key as usize).and_then(|e| e.greedy);
+        if let Some(g) = self.count(found) {
+            return g as usize;
         }
-        self.misses += 1;
         let g = greedy_cover_size::<ghd_prng::rngs::StdRng>(target, h, None);
         self.dense_entry_mut(key).greedy = Some(g as u32);
         g
@@ -591,13 +592,10 @@ impl CoverCache {
     /// `greedy_cover_size::<_>(target, h, None)` (first-maximum tie rule):
     /// identical values, cached.
     pub fn greedy_cover_size(&mut self, target: &BitSet, h: &Hypergraph) -> usize {
-        if let Some(e) = self.map.get(target.blocks()) {
-            if let Some(g) = e.greedy {
-                self.hits += 1;
-                return g as usize;
-            }
+        let found = self.map.get(target.blocks()).and_then(|e| e.greedy);
+        if let Some(g) = self.count(found) {
+            return g as usize;
         }
-        self.misses += 1;
         let g = greedy_cover_size::<ghd_prng::rngs::StdRng>(target, h, None);
         self.entry_mut(target).greedy = Some(g as u32);
         g
@@ -679,31 +677,16 @@ impl StripedCoverCache {
         let stripe = self.stripe(target.blocks());
         {
             let mut c = Self::lock(stripe);
-            if let Some(e) = c.map.get(target.blocks()) {
-                if let Some(exact) = e.exact {
-                    c.hits += 1;
-                    return ((exact as usize).min(cap), true, true);
-                }
-                if e.lower as usize >= cap {
-                    c.hits += 1;
-                    return (cap, true, true);
-                }
+            let found = c.map.get(target.blocks()).and_then(|e| e.exact_hit(cap));
+            if let Some(s) = c.count(found) {
+                return (s, true, true);
             }
-            c.misses += 1;
         }
         // Compute with the stripe unlocked; duplicated concurrent work on
         // the same bag is benign (identical facts, monotone bounds).
         let (s, ok) = exact_cover_size_capped(target, h, cap);
         if ok {
-            let mut c = Self::lock(stripe);
-            let e = c.entry_mut(target);
-            if s < cap {
-                e.exact = Some(s as u32);
-                e.lower = e.lower.max(s as u32);
-            } else {
-                // completed search found nothing below cap ⇒ optimal ≥ cap
-                e.lower = e.lower.max(cap as u32);
-            }
+            Self::lock(stripe).entry_mut(target).record_exact(s, cap);
         }
         (s, ok, false)
     }
@@ -714,13 +697,10 @@ impl StripedCoverCache {
         let stripe = self.stripe(target.blocks());
         {
             let mut c = Self::lock(stripe);
-            if let Some(e) = c.map.get(target.blocks()) {
-                if let Some(g) = e.greedy {
-                    c.hits += 1;
-                    return (g as usize, true);
-                }
+            let found = c.map.get(target.blocks()).and_then(|e| e.greedy);
+            if let Some(g) = c.count(found) {
+                return (g as usize, true);
             }
-            c.misses += 1;
         }
         let g = greedy_cover_size::<ghd_prng::rngs::StdRng>(target, h, None);
         Self::lock(stripe).entry_mut(target).greedy = Some(g as u32);
