@@ -18,8 +18,11 @@
 //! The two differential targets, `canon_graph` and `canon_hypergraph`,
 //! also hold the daemon's cache-key writers to their oracle: on every
 //! mutant `canonical_*_text` must return exactly what
-//! `write_*(parse_*(mutant))` returns, bytes or error. A disagreement
-//! panics like a crash does.
+//! `write_*(parse_*(mutant))` returns, bytes or error. The `json_writer`
+//! target holds the JSON writer to the reader: each mutant of seeded
+//! random text, written as an object key, a string value and a response
+//! body, must read back as the same text. A disagreement panics like a
+//! crash does.
 //!
 //! Any panic aborts the run with the seed and iteration number, which
 //! reproduce the failing input exactly:
@@ -33,7 +36,7 @@
 
 use ghd_bench::table::Args;
 use ghd_core::io::{parse_ghd, parse_td, write_ghd, write_td};
-use ghd_core::json::{escape, Json};
+use ghd_core::json::{escape, Json, Layout, Writer};
 use ghd_core::{bucket, CoverMethod, EliminationOrdering};
 use ghd_hypergraph::generators::{graphs, hypergraphs};
 use ghd_hypergraph::io as hio;
@@ -173,6 +176,20 @@ fn targets() -> Vec<Target> {
             parse: Box::new(|s| Json::parse(s).is_ok()),
         },
         Target {
+            name: "json_writer",
+            corpus: awkward_texts(),
+            parse: Box::new(|s| {
+                let mut doc = String::new();
+                Writer::new(&mut doc).object(Layout::Inline, |o| o.field(s).str(s));
+                let read = Json::parse(&doc).expect("a written document parses");
+                assert_eq!(read.get(s).and_then(Json::as_str), Some(s), "writer round trip of {s:?}");
+                let line = ghd_serve::Response::ok_body(None, s).render();
+                let body = ghd_serve::Response::parse(&line).expect("a written response parses").body;
+                assert_eq!(body.as_deref(), Some(s), "response body round trip of {s:?}");
+                true
+            }),
+        },
+        Target {
             // the daemon's request line is read straight off a socket —
             // the one parser in the workspace directly exposed to remote
             // bytes, so it must be total under mutation like the rest
@@ -193,6 +210,28 @@ fn targets() -> Vec<Target> {
             parse: Box::new(|s| ghd_serve::Request::parse(s).is_ok()),
         },
     ]
+}
+
+/// Seeded random byte strings, biased toward the bytes the JSON writer
+/// escapes (controls, quotes, backslashes) and mixed with multi-byte
+/// characters, read as lossy UTF-8 (invalid bytes become U+FFFD).
+fn awkward_texts() -> Vec<String> {
+    const WIDE: [&str; 4] = ["é", "€", "😀", "\u{2028}"];
+    let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x5717);
+    (0..16)
+        .map(|_| {
+            let mut bytes = Vec::new();
+            for _ in 0..rng.random_range(0..96usize) {
+                match rng.next_u64() % 5 {
+                    0 => bytes.push((rng.next_u64() % 0x20) as u8),
+                    1 => bytes.push([b'"', b'\\'][(rng.next_u64() % 2) as usize]),
+                    2 => bytes.extend_from_slice(WIDE[(rng.next_u64() % 4) as usize].as_bytes()),
+                    _ => bytes.push(rng.next_u64() as u8),
+                }
+            }
+            String::from_utf8_lossy(&bytes).into_owned()
+        })
+        .collect()
 }
 
 /// Applies 1–8 seeded byte mutations to `base`. Mutations deliberately
