@@ -1,10 +1,11 @@
 //! Byte pins of the `ghd tw` / `ghd ghw` solve path: the full stdout of
 //! every method on one instance each, the `--stats json` document of the
-//! exact methods on instances the split layer decomposes (wall-clock
-//! fields masked), and the usage errors of method selection. Every case is
-//! rendered into one text and compared with
-//! `tests/fixtures/solve_pins.golden`; a mismatch prints the whole
-//! rendering, so an intended change is recorded by replacing the file.
+//! exact methods on instances the split layer decomposes and of BB on a
+//! tree that preprocessing settles (wall-clock fields masked), and the
+//! usage errors of method selection. Every case is rendered into one
+//! text and compared with `tests/fixtures/solve_pins.golden`; a mismatch
+//! prints the whole rendering, so an intended change is recorded by
+//! replacing the file.
 
 use ghd_cli::run;
 
@@ -74,6 +75,9 @@ fn render() -> String {
         case(&mut out, "tw", "blocky", &blocky, &flags);
         case(&mut out, "ghw", "components", &components, &flags);
     }
+    // preprocessing eliminates a tree completely: no block is searched
+    let tree8 = tmp("tree8.col", "p edge 8 7\ne 1 2\ne 1 3\ne 2 4\ne 2 5\ne 3 6\ne 3 7\ne 7 8\n");
+    case(&mut out, "tw", "tree8", &tree8, &["--method", "bb", "--time", "0", "--stats", "json"]);
     for (cmd, name, path) in [("tw", "queen4", &queen4), ("ghw", "clique6", &clique6)] {
         case(&mut out, cmd, name, path, &["--stats", "json", "--method", "ga"]);
         case(&mut out, cmd, name, path, &["--method", "nosuch"]);

@@ -282,8 +282,7 @@ fn split<P: Pipeline>(
     if exact {
         lb = ub;
     }
-    // a fully reduced instance searched nothing and has no telemetry
-    let stats = (limits.collect_stats && report.split).then(|| {
+    let stats = limits.collect_stats.then(|| {
         let mut merged = SearchStats::merge(solved.iter_mut().filter_map(|s| s.stats.take()));
         merged.faults = faults.clone();
         merged
