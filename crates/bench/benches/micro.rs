@@ -78,7 +78,7 @@ fn bench_set_cover(hn: &mut Harness) {
     hn.bench("set_cover/exact (BnB, IP-solver substitute)", || {
         black_box(exact_cover(black_box(&target), &h));
     });
-    let mut cache = CoverCache::new();
+    let cache = CoverCache::new(1);
     hn.bench("set_cover/exact_cached (warm transposition hit)", || {
         black_box(cache.exact_cover_size_capped(black_box(&target), &h, usize::MAX));
     });

@@ -106,7 +106,7 @@ impl DegreeQueue {
 /// state. One scratch serves any number of consecutive bound computations.
 ///
 /// `deg[v]` caches `adj[v].len()` for every loaded vertex: it is set once
-/// per load and kept exact by [`contract_into`], so no degree read ever
+/// per load and kept exact by `contract_into`, so no degree read ever
 /// popcounts a row. `queue` holds the live vertices under those degrees.
 #[derive(Default)]
 pub struct LbScratch {

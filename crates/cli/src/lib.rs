@@ -481,7 +481,6 @@ fn search_json(
                 o.field("open_peak_bytes").int(st.open_peak_bytes);
                 o.field("seen_peak_bytes").int(st.seen_peak_bytes);
                 o.field("queue_degraded").bool(st.queue_degraded);
-                o.field("interner_overflow").bool(st.interner_overflow);
                 o.field("worker_caches").records(Layout::Inline, &st.worker_caches, |o, c| {
                     o.field("hits").int(c.hits);
                     o.field("misses").int(c.misses);

@@ -123,7 +123,6 @@ fn stats_json_bytes_are_pinned() {
             StealCounters { published: 0, executed: 1, stolen: 1, retried: 1 },
         ],
         queue_degraded: true,
-        interner_overflow: false,
         faults: faults.clone(),
     };
     let block = |size, width, lower_bound, exact, kind, cache_hit, nodes| BlockOutcome {

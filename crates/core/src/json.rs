@@ -2,7 +2,8 @@
 //! decides JSON syntax in the workspace (the offline build forbids serde).
 //!
 //! The reader is a small recursive-descent parser producing a [`Json`]
-//! tree: full JSON syntax, numbers kept as `f64`. The [`Writer`] emits
+//! tree: full JSON syntax, numbers kept as `f64` except that a digits-only
+//! literal within `u64` stays exact ([`Json::as_u64`]). The [`Writer`] emits
 //! every document the workspace writes (`--stats json`, the daemon's wire
 //! lines and `stats` body, the `BENCH_*.json` documents); the caller picks
 //! a [`Layout`] per container.
@@ -11,14 +12,17 @@ use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub enum Json {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (integers included).
+    /// A JSON number other than an [`Json::Integer`].
     Number(f64),
+    /// A digits-only number literal (no sign, fraction or exponent) that
+    /// fits a `u64`, kept exact.
+    Integer(u64),
     /// A string (escapes decoded).
     String(String),
     /// An array.
@@ -61,10 +65,21 @@ impl Json {
         }
     }
 
-    /// The number if this is a number.
+    /// The number if this is a number (an [`Json::Integer`] rounded to the
+    /// nearest `f64`).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Number(x) => Some(*x),
+            Json::Integer(n) => Some(*n as f64),
+            _ => None,
+        }
+    }
+
+    /// The exact value if this is an [`Json::Integer`]; `None` for every
+    /// other value, negative, fractional and exponent forms included.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Integer(n) => Some(*n),
             _ => None,
         }
     }
@@ -82,6 +97,25 @@ impl Json {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
+        }
+    }
+}
+
+/// Numbers compare by value as `f64`, as they did before the reader kept
+/// integers exact; two [`Json::Integer`]s compare exactly.
+impl PartialEq for Json {
+    fn eq(&self, other: &Json) -> bool {
+        match (self, other) {
+            (Json::Null, Json::Null) => true,
+            (Json::Bool(a), Json::Bool(b)) => a == b,
+            (Json::Integer(a), Json::Integer(b)) => a == b,
+            (Json::Number(_) | Json::Integer(_), Json::Number(_) | Json::Integer(_)) => {
+                self.as_f64() == other.as_f64()
+            }
+            (Json::String(a), Json::String(b)) => a == b,
+            (Json::Array(a), Json::Array(b)) => a == b,
+            (Json::Object(a), Json::Object(b)) => a == b,
+            _ => false,
         }
     }
 }
@@ -319,9 +353,14 @@ impl Parser<'_> {
             }
         }
         // the scanned range is ASCII by construction, but stay total anyway
-        std::str::from_utf8(&self.bytes[start..self.pos])
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
+        if !text.is_empty() && text.bytes().all(|c| c.is_ascii_digit()) {
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(Json::Integer(n));
+            }
+        }
+        text.parse::<f64>()
             .ok()
-            .and_then(|text| text.parse::<f64>().ok())
             .filter(|x| x.is_finite())
             .map(Json::Number)
             .ok_or_else(|| self.err("bad number"))

@@ -6,13 +6,17 @@
 //! and an external IP solver for exact covers inside BB-ghw / A\*-ghw; here
 //! the exact solver is a self-contained branch-and-bound (same optima, no
 //! external dependency — see DESIGN.md, substitution 3).
+//!
+//! [`CoverCache`] memoises both solvers for the exact searches: one
+//! content-keyed store of proven facts behind lock stripes, so a single
+//! search and the workers of a parallel one query it alike, through
+//! `&self`.
 
 use ghd_hypergraph::{BitSet, Hypergraph};
-use ghd_prng::hash::{fx_hash_words, FxBuildHasher};
+use ghd_prng::hash::{fx_hash_words, FxHashMap};
 use ghd_prng::{Rng, RngExt};
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Strategy for solving the per-bag set cover problems.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -389,111 +393,22 @@ impl CacheEntry {
     }
 }
 
-/// Transposition cache for per-bag set covers, keyed on the target
-/// [`BitSet`]'s backing blocks.
-///
-/// Branch-and-bound over elimination orderings revisits the same bag many
-/// times — permutations of a prefix that eliminate the same vertex next
-/// produce the identical `{v} ∪ Nᵍ(v)` bag, and capped queries repeat with
-/// different caps as the incumbent tightens. The cache stores only *proven*
-/// facts, so cached answers are identical to recomputation and results are
-/// bit-for-bit the same with the cache on or off:
-///
-/// * an exact size `s < cap` proven by a completed (budget-unexhausted)
-///   capped search is stored as `exact`;
-/// * a completed capped search that found nothing below `cap` proves
-///   `optimal ≥ cap`, stored as a monotone `lower` bound;
-/// * budget-exhausted results are *never* cached (they are only estimates);
-/// * deterministic greedy sizes (first-maximum tie rule) are cached as-is.
-///
-/// Capacity overflow triggers a deterministic full reset (simple, and the
-/// search relocality means a warm prefix is rebuilt within a few hundred
-/// nodes); resets are reported via [`CacheStats::evictions`].
-///
-/// A cache is valid for **one hypergraph**: keys are target bitsets only,
-/// so reusing it across hypergraphs replays covers from the wrong edge set.
-pub struct CoverCache {
-    /// Boxed-key path (FxHash — the keys are whole `u64` words, exactly the
-    /// input FxHash mixes best, and SipHash's DoS resistance buys nothing
-    /// against self-generated bags).
-    map: HashMap<Box<[u64]>, CacheEntry, FxBuildHasher>,
-    /// Dense path: entries indexed by a caller-supplied interned key (see
-    /// `ghd_search::StateInterner`): each search worker interns its cover
-    /// targets once, so the key bits live in its interner and probing here
-    /// is a vector index.
-    dense: Vec<CacheEntry>,
-    /// Occupied (fact-holding) entries of `dense`.
-    dense_live: usize,
+/// One lock's share of a [`CoverCache`]: a content-keyed map of proven
+/// facts and the counters of the queries that reached it.
+struct Stripe {
+    /// FxHash: the keys are whole `u64` words, exactly the input FxHash
+    /// mixes best, and SipHash's DoS resistance buys nothing against
+    /// self-generated bags.
+    map: FxHashMap<Box<[u64]>, CacheEntry>,
+    /// Words held by the boxed keys, for [`CoverCache::bytes`].
+    key_words: usize,
     capacity: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-impl Default for CoverCache {
-    fn default() -> Self {
-        CoverCache::new()
-    }
-}
-
-impl CoverCache {
-    /// Default capacity: roomy enough for every bag of mid-size searches.
-    pub const DEFAULT_CAPACITY: usize = 1 << 20;
-
-    /// A cache with [`CoverCache::DEFAULT_CAPACITY`].
-    pub fn new() -> Self {
-        CoverCache::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// A cache holding at most `capacity` entries (min 1) before resetting.
-    pub fn with_capacity(capacity: usize) -> Self {
-        CoverCache {
-            map: HashMap::default(),
-            dense: Vec::new(),
-            dense_live: 0,
-            capacity: capacity.max(1),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Snapshot of the counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            entries: self.map.len() + self.dense_live,
-        }
-    }
-
-    /// Drops all entries (counts them as evictions) but keeps the counters.
-    pub fn clear(&mut self) {
-        self.evictions += (self.map.len() + self.dense_live) as u64;
-        self.map.clear();
-        self.dense.clear();
-        self.dense_live = 0;
-    }
-
-    /// Bytes reserved by the cache's own storage (keys interned elsewhere
-    /// are not counted; the boxed-key path estimates per-entry overhead).
-    pub fn bytes(&self) -> usize {
-        self.dense.capacity() * std::mem::size_of::<CacheEntry>()
-            + self.map.capacity()
-                * (std::mem::size_of::<CacheEntry>() + std::mem::size_of::<Box<[u64]>>())
-    }
-
-    fn entry_mut(&mut self, target: &BitSet) -> &mut CacheEntry {
-        if self.map.len() >= self.capacity && !self.map.contains_key(target.blocks()) {
-            self.evictions += self.map.len() as u64;
-            self.map.clear();
-        }
-        self.map
-            .entry(target.blocks().into())
-            .or_default()
-    }
-
+impl Stripe {
     /// Counts a probe that `found` answers (a hit) or not (a miss).
     fn count<T>(&mut self, found: Option<T>) -> Option<T> {
         if found.is_some() {
@@ -504,138 +419,86 @@ impl CoverCache {
         found
     }
 
-    fn occupied(e: &CacheEntry) -> bool {
-        // a stored fact always sets one of these: `exact`, a `lower ≥ 1`
-        // (caps are ≥ 1 past the zero-cap short circuit) or a greedy size
-        e.exact.is_some() || e.lower > 0 || e.greedy.is_some()
-    }
-
-    /// Dense-path counterpart of [`CoverCache::entry_mut`]; the caller is
-    /// about to record a fact, which is what makes the slot occupied.
-    fn dense_entry_mut(&mut self, key: u32) -> &mut CacheEntry {
-        let k = key as usize;
-        if self.dense.len() <= k {
-            self.dense.resize(k + 1, CacheEntry::default());
+    /// The entry of `key`, about to record a fact; a fresh key arriving at
+    /// capacity first resets the stripe.
+    fn entry_mut(&mut self, key: &[u64]) -> &mut CacheEntry {
+        if self.map.contains_key(key) {
+            return self.map.get_mut(key).expect("checked above");
         }
-        if !Self::occupied(&self.dense[k]) {
-            if self.dense_live >= self.capacity {
-                self.evictions += self.dense_live as u64;
-                self.dense.iter_mut().for_each(|e| *e = CacheEntry::default());
-                self.dense_live = 0;
-            }
-            self.dense_live += 1;
+        if self.map.len() >= self.capacity {
+            self.evictions += self.map.len() as u64;
+            self.map.clear();
+            self.key_words = 0;
         }
-        &mut self.dense[k]
-    }
-
-    /// Memoizing counterpart of [`exact_cover_size_capped`]: same contract,
-    /// same values — hits replay proven facts, misses delegate and record.
-    pub fn exact_cover_size_capped(
-        &mut self,
-        target: &BitSet,
-        h: &Hypergraph,
-        cap: usize,
-    ) -> (usize, bool) {
-        if cap == 0 {
-            return (0, true);
-        }
-        let found = self.map.get(target.blocks()).and_then(|e| e.exact_hit(cap));
-        if let Some(s) = self.count(found) {
-            return (s, true);
-        }
-        let (s, ok) = exact_cover_size_capped(target, h, cap);
-        if ok {
-            self.entry_mut(target).record_exact(s, cap);
-        }
-        (s, ok)
-    }
-
-    /// [`CoverCache::exact_cover_size_capped`] on the dense path: `key` must
-    /// be the dense id of `target`'s blocks in the caller's interner (each
-    /// distinct target set ↔ one id). Same contract, same values; probing is
-    /// a vector index and the key bits are stored once, in the interner.
-    pub fn exact_cover_size_capped_interned(
-        &mut self,
-        key: u32,
-        target: &BitSet,
-        h: &Hypergraph,
-        cap: usize,
-    ) -> (usize, bool) {
-        if cap == 0 {
-            return (0, true);
-        }
-        let found = self.dense.get(key as usize).and_then(|e| e.exact_hit(cap));
-        if let Some(s) = self.count(found) {
-            return (s, true);
-        }
-        let (s, ok) = exact_cover_size_capped(target, h, cap);
-        if ok {
-            self.dense_entry_mut(key).record_exact(s, cap);
-        }
-        (s, ok)
-    }
-
-    /// [`CoverCache::greedy_cover_size`] on the dense path (see
-    /// [`CoverCache::exact_cover_size_capped_interned`] for the key
-    /// contract).
-    pub fn greedy_cover_size_interned(&mut self, key: u32, target: &BitSet, h: &Hypergraph) -> usize {
-        let found = self.dense.get(key as usize).and_then(|e| e.greedy);
-        if let Some(g) = self.count(found) {
-            return g as usize;
-        }
-        let g = greedy_cover_size::<ghd_prng::rngs::StdRng>(target, h, None);
-        self.dense_entry_mut(key).greedy = Some(g as u32);
-        g
-    }
-
-    /// Memoizing counterpart of the deterministic
-    /// `greedy_cover_size::<_>(target, h, None)` (first-maximum tie rule):
-    /// identical values, cached.
-    pub fn greedy_cover_size(&mut self, target: &BitSet, h: &Hypergraph) -> usize {
-        let found = self.map.get(target.blocks()).and_then(|e| e.greedy);
-        if let Some(g) = self.count(found) {
-            return g as usize;
-        }
-        let g = greedy_cover_size::<ghd_prng::rngs::StdRng>(target, h, None);
-        self.entry_mut(target).greedy = Some(g as u32);
-        g
+        self.key_words += key.len();
+        self.map.entry(key.into()).or_default()
     }
 }
 
-/// A lock-striped concurrent [`CoverCache`] shared by all workers of a
-/// parallel search.
+/// Transposition store for per-bag set covers, keyed on the target
+/// [`BitSet`]'s backing blocks.
 ///
-/// The store is split into a power-of-two number of stripes, each an
-/// independent [`CoverCache`] (boxed-key path) behind its own [`Mutex`];
-/// a query locks only the stripe its target hashes to. Cover computations
-/// run *outside* the lock, so a slow exact cover on one bag never blocks
-/// other workers probing the same stripe: the worst case is two workers
-/// computing the same bag concurrently, which is benign because only proven
-/// facts are stored and facts for a given bag are identical (`exact`) or
-/// monotone (`lower`). The proven-facts-only discipline is inherited from
-/// [`CoverCache`] unchanged, so cached and uncached parallel runs return
-/// identical widths.
+/// Branch-and-bound over elimination orderings revisits the same bag many
+/// times: permutations of a prefix that eliminate the same vertex next
+/// produce the identical `{v} ∪ Nᵍ(v)` bag, and capped queries repeat with
+/// different caps as the incumbent tightens. The store holds only *proven*
+/// facts, so cached answers are identical to recomputation and results are
+/// bit-for-bit the same with the cache on or off:
 ///
-/// Like [`CoverCache`], one instance is valid for **one hypergraph**.
-pub struct StripedCoverCache {
-    stripes: Vec<Mutex<CoverCache>>,
+/// * an exact size `s < cap` proven by a completed (budget-unexhausted)
+///   capped search is stored as `exact`;
+/// * a completed capped search that found nothing below `cap` proves
+///   `optimal ≥ cap`, stored as a monotone `lower` bound;
+/// * budget-exhausted results are *never* cached (they are only estimates);
+/// * deterministic greedy sizes (first-maximum tie rule) are cached as-is.
+///
+/// The entries are split into a power-of-two number of stripes, each
+/// behind its own [`Mutex`]; a query locks only the stripe its target
+/// hashes to, so one store serves a single search (one stripe) or all the
+/// workers of a parallel one (many). Cover computations run *outside* the
+/// lock: a slow exact cover on one bag never blocks other workers probing
+/// the same stripe, and the worst case is two workers computing the same
+/// bag at once, which is benign because facts for a given bag are
+/// identical (`exact`) or monotone (`lower`).
+///
+/// A stripe that reaches its share of the capacity resets in full
+/// (simple, and search locality rebuilds a warm prefix within a few hundred
+/// nodes); resets are reported via [`CacheStats::evictions`].
+///
+/// A store is valid for **one hypergraph**: keys are target bitsets only,
+/// so reusing it across hypergraphs replays covers from the wrong edge set.
+pub struct CoverCache {
+    stripes: Box<[Mutex<Stripe>]>,
     mask: usize,
 }
 
-impl StripedCoverCache {
-    /// A cache with `stripes` stripes (rounded up to a power of two, min 1)
-    /// and [`CoverCache::DEFAULT_CAPACITY`] entries in total.
+impl CoverCache {
+    /// Default capacity: roomy enough for every bag of mid-size searches.
+    pub const DEFAULT_CAPACITY: usize = 1 << 20;
+
+    /// A store of `stripes` stripes (rounded up to a power of two, min 1)
+    /// holding [`CoverCache::DEFAULT_CAPACITY`] entries in total.
     pub fn new(stripes: usize) -> Self {
-        Self::with_capacity(stripes, CoverCache::DEFAULT_CAPACITY)
+        Self::with_capacity(stripes, Self::DEFAULT_CAPACITY)
     }
 
-    /// A cache with `capacity` total entries split evenly across the
-    /// stripes.
+    /// A store of `stripes` stripes sharing `capacity` entries evenly (at
+    /// least one per stripe).
     pub fn with_capacity(stripes: usize, capacity: usize) -> Self {
         let n = stripes.max(1).next_power_of_two();
         let per = (capacity / n).max(1);
-        StripedCoverCache {
-            stripes: (0..n).map(|_| Mutex::new(CoverCache::with_capacity(per))).collect(),
+        let stripe = || {
+            Mutex::new(Stripe {
+                map: FxHashMap::default(),
+                key_words: 0,
+                capacity: per,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            })
+        };
+        CoverCache {
+            stripes: (0..n).map(|_| stripe()).collect(),
             mask: n - 1,
         }
     }
@@ -645,7 +508,7 @@ impl StripedCoverCache {
         self.stripes.len()
     }
 
-    fn stripe(&self, key: &[u64]) -> &Mutex<CoverCache> {
+    fn stripe(&self, key: &[u64]) -> &Mutex<Stripe> {
         // Mix the high hash bits into the stripe index so it stays
         // decorrelated from the bucket index the stripe's own FxHash map
         // derives from the low bits.
@@ -657,14 +520,13 @@ impl StripedCoverCache {
     /// probe/record sections (never across a cover computation), so the
     /// protected state is never torn: recover the guard instead of
     /// propagating poison.
-    fn lock(stripe: &Mutex<CoverCache>) -> std::sync::MutexGuard<'_, CoverCache> {
+    fn lock(stripe: &Mutex<Stripe>) -> MutexGuard<'_, Stripe> {
         stripe.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Concurrent counterpart of [`CoverCache::exact_cover_size_capped`]:
-    /// same contract, same values. The third component reports whether the
-    /// query was answered from the cache, so callers can attribute the
-    /// hit/miss to the executing worker.
+    /// Memoizing counterpart of [`exact_cover_size_capped`]: the same
+    /// `(size, proven)` answer, plus whether the store gave it (a hit), so
+    /// callers can attribute the query to the worker that made it.
     pub fn exact_cover_size_capped(
         &self,
         target: &BitSet,
@@ -682,17 +544,16 @@ impl StripedCoverCache {
                 return (s, true, true);
             }
         }
-        // Compute with the stripe unlocked; duplicated concurrent work on
-        // the same bag is benign (identical facts, monotone bounds).
         let (s, ok) = exact_cover_size_capped(target, h, cap);
         if ok {
-            Self::lock(stripe).entry_mut(target).record_exact(s, cap);
+            Self::lock(stripe).entry_mut(target.blocks()).record_exact(s, cap);
         }
         (s, ok, false)
     }
 
-    /// Concurrent counterpart of [`CoverCache::greedy_cover_size`]:
-    /// identical values; the second component reports a cache hit.
+    /// Memoizing counterpart of the deterministic
+    /// `greedy_cover_size::<_>(target, h, None)` (first-maximum tie rule):
+    /// the same size, plus whether the store gave it (a hit).
     pub fn greedy_cover_size(&self, target: &BitSet, h: &Hypergraph) -> (usize, bool) {
         let stripe = self.stripe(target.blocks());
         {
@@ -703,28 +564,36 @@ impl StripedCoverCache {
             }
         }
         let g = greedy_cover_size::<ghd_prng::rngs::StdRng>(target, h, None);
-        Self::lock(stripe).entry_mut(target).greedy = Some(g as u32);
+        Self::lock(stripe).entry_mut(target.blocks()).greedy = Some(g as u32);
         (g, false)
     }
 
-    /// Aggregated counters. Unlike [`CacheStats::absorb_parallel`] (which
-    /// maxes the `entries` gauge across *independent* caches), the stripes
-    /// are disjoint shards of one logical store, so `entries` is summed.
+    /// Counters summed over the stripes. Unlike
+    /// [`CacheStats::absorb_parallel`] (which maxes the `entries` gauge
+    /// across *independent* stores), the stripes are disjoint shards of one
+    /// store, so `entries` is summed too.
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
-        for s in &self.stripes {
-            let st = Self::lock(s).stats();
-            total.hits += st.hits;
-            total.misses += st.misses;
-            total.evictions += st.evictions;
-            total.entries += st.entries;
+        for s in self.stripes.iter() {
+            let s = Self::lock(s);
+            total.hits += s.hits;
+            total.misses += s.misses;
+            total.evictions += s.evictions;
+            total.entries += s.map.len();
         }
         total
     }
 
-    /// Bytes reserved across all stripes.
+    /// Bytes reserved across the stripes: each map's slots plus the words
+    /// of its boxed keys.
     pub fn bytes(&self) -> usize {
-        self.stripes.iter().map(|s| Self::lock(s).bytes()).sum()
+        let slot = std::mem::size_of::<CacheEntry>() + std::mem::size_of::<Box<[u64]>>();
+        let word = std::mem::size_of::<u64>();
+        let stripe = |s: &Mutex<Stripe>| {
+            let s = Self::lock(s);
+            s.map.capacity() * slot + s.key_words * word
+        };
+        self.stripes.iter().map(stripe).sum()
     }
 }
 
@@ -883,7 +752,7 @@ mod tests {
         let mut total = CacheStats::default();
         for trial in 0..20u64 {
             // one cache per hypergraph: keys are target bitsets only
-            let mut cache = CoverCache::new();
+            let cache = CoverCache::new(1);
             let h = ghd_hypergraph::generators::hypergraphs::random_hypergraph(12, 9, 4, trial);
             let mut rng = StdRng::seed_from_u64(trial);
             for _ in 0..6 {
@@ -891,11 +760,11 @@ mod tests {
                     BitSet::from_iter(12, (0..12).filter(|_| rng.random_range(0..3) == 0));
                 for cap in [1, 2, 3, usize::MAX] {
                     let plain = exact_cover_size_capped(&target, &h, cap);
-                    let cached = cache.exact_cover_size_capped(&target, &h, cap);
-                    assert_eq!(plain, cached, "trial {trial} cap {cap}");
+                    let (s, ok, _) = cache.exact_cover_size_capped(&target, &h, cap);
+                    assert_eq!(plain, (s, ok), "trial {trial} cap {cap}");
                 }
                 let plain = greedy_cover_size::<StdRng>(&target, &h, None);
-                assert_eq!(plain, cache.greedy_cover_size(&target, &h), "trial {trial}");
+                assert_eq!(plain, cache.greedy_cover_size(&target, &h).0, "trial {trial}");
             }
             let stats = cache.stats();
             total.hits += stats.hits;
@@ -905,59 +774,6 @@ mod tests {
         assert!(total.hits > 0, "repeated caps should hit: {total:?}");
         assert!(total.misses > 0);
         assert!(total.entries > 0);
-    }
-
-    #[test]
-    fn dense_path_matches_boxed_key_path() {
-        // one interned id per distinct target, as a search-side interner
-        // would assign them; both paths must produce identical values and
-        // identical hit/miss streams
-        for trial in 0..10u64 {
-            let h = ghd_hypergraph::generators::hypergraphs::random_hypergraph(12, 9, 4, trial);
-            let mut boxed = CoverCache::new();
-            let mut dense = CoverCache::new();
-            let mut ids: Vec<BitSet> = Vec::new();
-            let mut rng = StdRng::seed_from_u64(trial ^ 0xD5);
-            for _ in 0..8 {
-                let target =
-                    BitSet::from_iter(12, (0..12).filter(|_| rng.random_range(0..3) == 0));
-                let key = match ids.iter().position(|t| *t == target) {
-                    Some(i) => i as u32,
-                    None => {
-                        ids.push(target.clone());
-                        (ids.len() - 1) as u32
-                    }
-                };
-                for cap in [1, 2, 3, usize::MAX] {
-                    assert_eq!(
-                        boxed.exact_cover_size_capped(&target, &h, cap),
-                        dense.exact_cover_size_capped_interned(key, &target, &h, cap),
-                        "trial {trial} cap {cap}"
-                    );
-                }
-                assert_eq!(
-                    boxed.greedy_cover_size(&target, &h),
-                    dense.greedy_cover_size_interned(key, &target, &h),
-                    "trial {trial}"
-                );
-                assert_eq!(boxed.stats(), dense.stats(), "trial {trial}");
-            }
-        }
-    }
-
-    #[test]
-    fn dense_capacity_overflow_resets_and_counts_evictions() {
-        let h = hg(4, &[&[0, 1], &[2, 3], &[0, 2], &[1, 3]]);
-        let mut cache = CoverCache::with_capacity(2);
-        for v in 0..4u32 {
-            let target = BitSet::from_iter(4, [v as usize]);
-            cache.greedy_cover_size_interned(v, &target, &h);
-        }
-        let stats = cache.stats();
-        assert!(stats.evictions >= 2, "expected a capacity reset: {stats:?}");
-        assert!(stats.entries <= 2);
-        assert_eq!(stats.misses, 4);
-        assert!(cache.bytes() > 0);
     }
 
     #[test]
@@ -985,19 +801,19 @@ mod tests {
     fn cache_counts_hits_and_misses() {
         let h = hg(6, &[&[0, 1, 2], &[3, 4, 5], &[1, 2, 3, 4]]);
         let target = BitSet::full(6);
-        let mut cache = CoverCache::new();
-        assert_eq!(cache.exact_cover_size_capped(&target, &h, 10), (2, true));
+        let cache = CoverCache::new(1);
+        assert_eq!(cache.exact_cover_size_capped(&target, &h, 10), (2, true, false));
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().hits, 0);
         // same bag again: exact answer replayed, including under tighter caps
-        assert_eq!(cache.exact_cover_size_capped(&target, &h, 10), (2, true));
-        assert_eq!(cache.exact_cover_size_capped(&target, &h, 2), (2, true));
-        assert_eq!(cache.exact_cover_size_capped(&target, &h, 1), (1, true));
+        assert_eq!(cache.exact_cover_size_capped(&target, &h, 10), (2, true, true));
+        assert_eq!(cache.exact_cover_size_capped(&target, &h, 2), (2, true, true));
+        assert_eq!(cache.exact_cover_size_capped(&target, &h, 1), (1, true, true));
         assert_eq!(cache.stats().hits, 3);
         // greedy is a separate fact on the same key
         let g = greedy_cover_size::<StdRng>(&target, &h, None);
-        assert_eq!(cache.greedy_cover_size(&target, &h), g);
-        assert_eq!(cache.greedy_cover_size(&target, &h), g);
+        assert_eq!(cache.greedy_cover_size(&target, &h), (g, false));
+        assert_eq!(cache.greedy_cover_size(&target, &h), (g, true));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (4, 2, 1));
         assert!(stats.hit_rate() > 0.5);
@@ -1009,24 +825,24 @@ mod tests {
         // proves "≥ 1" without revealing the optimum
         let h = hg(6, &[&[0, 1, 2], &[3, 4, 5], &[1, 2, 3, 4]]);
         let target = BitSet::full(6);
-        let mut cache = CoverCache::new();
-        assert_eq!(cache.exact_cover_size_capped(&target, &h, 1), (1, true));
+        let cache = CoverCache::new(1);
+        assert_eq!(cache.exact_cover_size_capped(&target, &h, 1), (1, true, false));
         // cap 1 answered again from the stored lower bound
-        assert_eq!(cache.exact_cover_size_capped(&target, &h, 1), (1, true));
+        assert_eq!(cache.exact_cover_size_capped(&target, &h, 1), (1, true, true));
         assert_eq!(cache.stats().hits, 1);
         // a looser cap cannot be answered by `lower = 1`: recomputes
-        assert_eq!(cache.exact_cover_size_capped(&target, &h, 5), (2, true));
+        assert_eq!(cache.exact_cover_size_capped(&target, &h, 5), (2, true, false));
         assert_eq!(cache.stats().misses, 2);
         // now exact is known and every cap hits
-        assert_eq!(cache.exact_cover_size_capped(&target, &h, 1), (1, true));
-        assert_eq!(cache.exact_cover_size_capped(&target, &h, 100), (2, true));
+        assert_eq!(cache.exact_cover_size_capped(&target, &h, 1), (1, true, true));
+        assert_eq!(cache.exact_cover_size_capped(&target, &h, 100), (2, true, true));
         assert_eq!(cache.stats().hits, 3);
     }
 
     #[test]
     fn capacity_overflow_resets_and_counts_evictions() {
         let h = hg(4, &[&[0, 1], &[2, 3], &[0, 2], &[1, 3]]);
-        let mut cache = CoverCache::with_capacity(2);
+        let cache = CoverCache::with_capacity(1, 2);
         for v in 0..4 {
             let target = BitSet::from_iter(4, [v]);
             cache.greedy_cover_size(&target, &h);
@@ -1035,20 +851,28 @@ mod tests {
         assert!(stats.evictions >= 2, "expected a capacity reset: {stats:?}");
         assert!(stats.entries <= 2);
         assert_eq!(stats.misses, 4);
-        // clear() counts remaining entries as evicted
-        let before = cache.stats();
-        cache.clear();
-        let after = cache.stats();
-        assert_eq!(after.entries, 0);
-        assert_eq!(after.evictions, before.evictions + before.entries as u64);
+    }
+
+    #[test]
+    fn bytes_count_the_boxed_keys() {
+        // 130 vertices: every key is three words
+        let h = hg(130, &[&[0, 64, 129], &[1, 65]]);
+        let cache = CoverCache::new(1);
+        assert_eq!(cache.bytes(), 0, "an unused store reserves nothing");
+        cache.greedy_cover_size(&BitSet::from_iter(130, [0, 129]), &h);
+        let one = cache.bytes();
+        assert!(one >= 3 * 8, "the key's words are counted: {one}");
+        // a second key in the same map slots adds exactly its three words
+        cache.greedy_cover_size(&BitSet::from_iter(130, [1]), &h);
+        assert_eq!(cache.bytes(), one + 3 * 8);
     }
 
     #[test]
     fn cache_zero_cap_short_circuits() {
         let h = hg(3, &[&[0, 1, 2]]);
         let target = BitSet::full(3);
-        let mut cache = CoverCache::new();
-        assert_eq!(cache.exact_cover_size_capped(&target, &h, 0), (0, true));
+        let cache = CoverCache::new(1);
+        assert_eq!(cache.exact_cover_size_capped(&target, &h, 0), (0, true, false));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 0));
     }
@@ -1066,11 +890,12 @@ mod tests {
     }
 
     #[test]
-    fn striped_cache_matches_the_plain_cache() {
+    fn striped_cache_matches_the_one_stripe_cache() {
         let mut rng = StdRng::seed_from_u64(77);
         let h = ghd_hypergraph::generators::hypergraphs::random_hypergraph(18, 14, 5, 9);
-        let striped = StripedCoverCache::new(4);
-        let mut plain = CoverCache::new();
+        let striped = CoverCache::new(4);
+        let plain = CoverCache::new(1);
+        assert_eq!((striped.stripe_count(), plain.stripe_count()), (4, 1));
         for _ in 0..400 {
             let mut target = BitSet::new(18);
             for v in 0..18 {
@@ -1079,51 +904,60 @@ mod tests {
                 }
             }
             let cap = rng.random_range(1..6) as usize;
-            let (s, ok, _) = striped.exact_cover_size_capped(&target, &h, cap);
-            assert_eq!((s, ok), plain.exact_cover_size_capped(&target, &h, cap));
-            let (g, _) = striped.greedy_cover_size(&target, &h);
-            assert_eq!(g, plain.greedy_cover_size(&target, &h));
+            assert_eq!(
+                striped.exact_cover_size_capped(&target, &h, cap),
+                plain.exact_cover_size_capped(&target, &h, cap)
+            );
+            assert_eq!(
+                striped.greedy_cover_size(&target, &h),
+                plain.greedy_cover_size(&target, &h)
+            );
         }
         let st = striped.stats();
-        let pt = plain.stats();
-        assert_eq!(st.hits, pt.hits, "hit pattern identical to the plain cache");
-        assert_eq!(st.misses, pt.misses);
-        assert_eq!(st.entries, pt.entries, "stripe entries sum to the plain count");
+        assert_eq!(st, plain.stats(), "hit pattern and entries identical to one stripe");
         assert!(st.hits > 0 && st.entries > 0);
     }
 
     #[test]
     fn striped_cache_is_consistent_under_concurrent_hammering() {
         let h = ghd_hypergraph::generators::hypergraphs::random_hypergraph(16, 12, 4, 3);
-        let striped = StripedCoverCache::new(8);
-        let workers = 4;
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let striped = &striped;
-                let h = &h;
-                s.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(w as u64);
-                    for _ in 0..300 {
-                        let mut target = BitSet::new(16);
-                        for v in 0..16 {
-                            if rng.random_range(0..3) == 0 {
-                                target.insert(v);
+        // at the default capacity no stripe resets; at 8 (one entry per
+        // stripe) they reset constantly while the workers share them
+        for capacity in [CoverCache::DEFAULT_CAPACITY, 8] {
+            let striped = CoverCache::with_capacity(8, capacity);
+            let workers = 4;
+            std::thread::scope(|s| {
+                for w in 0..workers {
+                    let striped = &striped;
+                    let h = &h;
+                    s.spawn(move || {
+                        let mut rng = StdRng::seed_from_u64(w as u64);
+                        for _ in 0..300 {
+                            let mut target = BitSet::new(16);
+                            for v in 0..16 {
+                                if rng.random_range(0..3) == 0 {
+                                    target.insert(v);
+                                }
                             }
+                            let cap = rng.random_range(1..6) as usize;
+                            let (s, ok, _) = striped.exact_cover_size_capped(&target, h, cap);
+                            // the striped answer must equal fresh recomputation
+                            assert_eq!((s, ok), exact_cover_size_capped(&target, h, cap));
+                            let (g, _) = striped.greedy_cover_size(&target, h);
+                            assert_eq!(g, greedy_cover_size::<StdRng>(&target, h, None));
                         }
-                        let cap = rng.random_range(1..6) as usize;
-                        let (s, ok, _) = striped.exact_cover_size_capped(&target, h, cap);
-                        // the striped answer must equal fresh recomputation
-                        assert_eq!((s, ok), exact_cover_size_capped(&target, h, cap));
-                        let (g, _) = striped.greedy_cover_size(&target, h);
-                        assert_eq!(g, greedy_cover_size::<StdRng>(&target, h, None));
-                    }
-                });
+                    });
+                }
+            });
+            let st = striped.stats();
+            // Every query is accounted exactly once as a hit or a miss.
+            assert_eq!(st.hits + st.misses, (workers * 300 * 2) as u64, "capacity {capacity}");
+            assert!(striped.bytes() > 0);
+            assert_eq!(striped.stripe_count(), 8);
+            if capacity == 8 {
+                assert!(st.evictions > 0, "stripes reset under sharing: {st:?}");
+                assert!(st.entries <= 8, "{st:?}");
             }
-        });
-        let st = striped.stats();
-        // Every query is accounted exactly once as a hit or a miss.
-        assert_eq!(st.hits + st.misses, (workers * 300 * 2) as u64);
-        assert!(striped.bytes() > 0);
-        assert_eq!(striped.stripe_count(), 8);
+        }
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! # Key packing
 //!
-//! Every kernel condenses its key columns into a `u64` (see [`KeyMode`]):
+//! Every kernel condenses its key columns into a `u64` (see `KeyMode`):
 //! when `arity × bits_per_value ≤ 64` the values are bit-packed directly
 //! (injective — no collision handling needed); wider or larger keys fall
 //! back to an FxHash of the columns with equality verification on probe.

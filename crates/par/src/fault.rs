@@ -1,6 +1,6 @@
 //! Deterministic fault injection for the contained fork-join helpers.
 //!
-//! Production builds never install a plan, so [`fault_point`] is a single
+//! Production builds never install a plan, so `fault_point` is a single
 //! relaxed atomic load on the hot path. Tests and benches install a
 //! [`FaultPlan`] via [`install`] to make the *n*th task panic (one-shot:
 //! each kill target fires at most once, so a retry of the same task

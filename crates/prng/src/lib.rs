@@ -119,7 +119,7 @@ pub trait SeedableRng: Sized {
 // ---------------------------------------------------------------------------
 
 /// Types samplable uniformly over their "natural" domain by
-/// [`Rng::random`]: unit-interval floats, full-range integers, fair bools.
+/// [`RngExt::random`]: unit-interval floats, full-range integers, fair bools.
 pub trait Standard: Sized {
     /// Draws one value from `rng`.
     fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self;

@@ -73,11 +73,6 @@ pub(crate) trait Measure: Sync {
         true
     }
 
-    /// Whether this worker must abandon its remaining work soundly.
-    fn abandoned(&self, _w: &Self::Worker) -> bool {
-        false
-    }
-
     /// Records the worker's cache stats in `telemetry`; returns its local ones.
     fn finish(&self, _w: &Self::Worker, _telemetry: &mut Telemetry) -> Option<CacheStats> {
         None
@@ -143,14 +138,18 @@ impl Root {
     }
 }
 
-/// Resolves a requested thread count to a worker count the id packing
-/// supports (`0` = all cores).
+/// Most workers one parallel run starts: `--threads` arrives with each CLI
+/// or daemon request, and this caps the threads one request can start.
+const MAX_WORKERS: usize = 32;
+
+/// Resolves a requested thread count to a worker count (`0` = all cores),
+/// at most [`MAX_WORKERS`].
 fn steal_workers(requested: usize) -> usize {
     match requested {
         0 => ghd_par::num_threads(),
         t => t,
     }
-    .clamp(1, crate::sharded::MAX_WORKERS)
+    .clamp(1, MAX_WORKERS)
 }
 
 struct Dfs<'a, M: Measure> {
@@ -271,7 +270,7 @@ impl<'a, M: Measure> Dfs<'a, M> {
     /// candidate set (`None` = all alive). Returns `false` when the budget
     /// expired (result no longer guaranteed exact).
     fn search(&mut self, g: usize, f: usize, allowed: Option<&BitSet>) -> bool {
-        if !self.ticker.tick() || self.m.abandoned(&self.state) {
+        if !self.ticker.tick() {
             // this node stays open: its f joins the expiry floor
             self.expiry_floor = self.expiry_floor.min(f);
             return false;
@@ -436,9 +435,7 @@ impl<'a, M: Measure> Dfs<'a, M> {
             }
         }
         steals.published = self.published;
-        // an abandoning worker folded its remaining work into the expiry
-        // floor: the run did not complete
-        (all_ok && !self.m.abandoned(&self.state), steals, faults)
+        (all_ok, steals, faults)
     }
 
     /// A finished witness rerun for a proven `width` (see [`witness`]).

@@ -9,20 +9,23 @@
 //! rule 2 (§8.3, non-adjacent swaps) shrink the tree, and the GHW analogue
 //! of PR1 closes subtrees whose residual vertex set is already coverable
 //! within the current cost.
+//!
+//! Bag covers are memoised in [`CoverCache`], which stores only proven
+//! facts, so widths, orderings and node counts are the same with it on or
+//! off. Each worker owns a one-stripe store; the workers of a parallel run
+//! share one striped store for their exact covers and keep their PR1
+//! greedy covers in their own.
 
 use crate::astar;
 use crate::bb::{self, Completion, Measure, Root};
 use crate::common::{Budget, SearchLimits, SearchResult, Telemetry};
-use crate::interner::StateInterner;
 use crate::rules::{find_simplicial, pr2_allowed_children, swappable_ghw};
-use crate::sharded::ShardedInterner;
 use crate::steal::StealConfig;
 use ghd_bounds::ksc::KscTable;
 use ghd_bounds::lower::{tw_lower_bound_elim, LbScratch};
 use ghd_bounds::upper::ghw_upper_bound;
 use ghd_core::setcover::{
     exact_cover_size_capped, greedy_cover_size, CacheStats, CoverCache, CoverMethod,
-    StripedCoverCache,
 };
 use ghd_hypergraph::{BitSet, EliminationGraph, Graph, Hypergraph};
 use ghd_prng::rngs::StdRng;
@@ -62,16 +65,12 @@ impl Default for BbGhwConfig {
     }
 }
 
-/// Interns `key` into the worker's interner; `None` (with the sticky
-/// overflow flag raised) when its id space is exhausted. Free function so
-/// it can borrow the interner while the caller holds `&mut` to the cache.
-fn try_intern_key(interner: &mut StateInterner, overflow: &mut bool, key: &[u64]) -> Option<u32> {
-    match interner.try_intern(key) {
-        Some((id, _)) => Some(id),
-        None => {
-            *overflow = true;
-            None
-        }
+/// The deterministic greedy cover size of `target`, through `cache` when
+/// there is one.
+fn greedy_size(cache: Option<&CoverCache>, target: &BitSet, h: &Hypergraph) -> usize {
+    match cache {
+        Some(c) => c.greedy_cover_size(target, h).0,
+        None => greedy_cover_size::<StdRng>(target, h, None),
     }
 }
 
@@ -89,31 +88,25 @@ struct Ghw<'a> {
     /// Cover store shared by the workers of a parallel run (`None`
     /// otherwise): exact bag covers go through it so every worker reuses
     /// every other worker's proven facts.
-    striped: Option<StripedCoverCache>,
+    shared: Option<CoverCache>,
 }
 
-/// One BB-ghw worker's scratch buffers, memos and degradation flags.
+/// One BB-ghw worker's scratch buffers, memo and degradation flag.
 struct GhwWorker {
     bag: BitSet,
     /// Scratch for the PR1 target (`alive ∩ covered`).
     target: BitSet,
     /// Reusable buffers for the residual treewidth lower bound.
     lb_scratch: LbScratch,
-    /// Transposition cache for per-bag covers (`None` = disabled).
+    /// The worker's own one-stripe cover store (`None` = disabled): every
+    /// cover of a sequential, A\* or witness search, and the PR1 greedy
+    /// covers of a parallel one.
     cache: Option<CoverCache>,
-    /// Canonical ids for the cache's targets, routing it onto its dense
-    /// store (a [`ShardedInterner`] shard in a parallel run).
-    interner: StateInterner,
     /// This worker's hit/miss attribution of the shared store's queries.
     shared_stats: CacheStats,
     /// Set when a capped cover exhausted its budget: the result may no
     /// longer be proven optimal.
     degraded: bool,
-    /// Set when the interner's worker-local id space ran out. Checked in
-    /// every build mode: rather than wrap ids into another worker's range,
-    /// the worker folds its remaining work into the expiry floor, like a
-    /// second fault, so bounds stay sound and `exact` is withdrawn.
-    interner_overflow: bool,
 }
 
 impl<'a> Ghw<'a> {
@@ -124,21 +117,7 @@ impl<'a> Ghw<'a> {
             primal: h.primal_graph(),
             covered: h.covered_vertices(),
             ksc: KscTable::new(h),
-            striped: None,
-        }
-    }
-
-    fn worker_with(&self, interner: StateInterner) -> GhwWorker {
-        let n = self.h.num_vertices();
-        GhwWorker {
-            bag: BitSet::new(n),
-            target: BitSet::new(n),
-            lb_scratch: LbScratch::new(),
-            cache: self.cfg.use_cover_cache.then(CoverCache::new),
-            interner,
-            shared_stats: CacheStats::default(),
-            degraded: false,
-            interner_overflow: false,
+            shared: None,
         }
     }
 
@@ -149,11 +128,13 @@ impl<'a> Ghw<'a> {
     /// component is `false` iff the cover search exhausted its internal
     /// budget and the size is only an upper estimate.
     fn bag_cover(&self, w: &mut GhwWorker, ub: usize) -> (usize, bool) {
-        let h = self.h;
-        let greedy = |bag: &BitSet| greedy_cover_size::<StdRng>(bag, h, None);
-        match (self.cfg.cover, &self.striped, w.cache.as_mut()) {
-            (CoverMethod::Exact, Some(shared), _) => {
-                let (s, ok, hit) = shared.exact_cover_size_capped(&w.bag, h, ub);
+        let (h, bag) = (self.h, &w.bag);
+        if self.cfg.cover == CoverMethod::Greedy {
+            return (greedy_size(w.cache.as_ref(), bag, h), true);
+        }
+        match (&self.shared, &w.cache) {
+            (Some(shared), _) => {
+                let (s, ok, hit) = shared.exact_cover_size_capped(bag, h, ub);
                 if hit {
                     w.shared_stats.hits += 1;
                 } else {
@@ -161,23 +142,11 @@ impl<'a> Ghw<'a> {
                 }
                 (s, ok)
             }
-            (CoverMethod::Exact, None, Some(c)) => {
-                match try_intern_key(&mut w.interner, &mut w.interner_overflow, w.bag.blocks()) {
-                    Some(key) => c.exact_cover_size_capped_interned(key, &w.bag, h, ub),
-                    // id space exhausted: compute uncached — the value is
-                    // identical, and the search abandons this worker at
-                    // its next node
-                    None => exact_cover_size_capped(&w.bag, h, ub),
-                }
+            (None, Some(c)) => {
+                let (s, ok, _) = c.exact_cover_size_capped(bag, h, ub);
+                (s, ok)
             }
-            (CoverMethod::Exact, None, None) => exact_cover_size_capped(&w.bag, h, ub),
-            (CoverMethod::Greedy, _, Some(c)) => {
-                match try_intern_key(&mut w.interner, &mut w.interner_overflow, w.bag.blocks()) {
-                    Some(key) => (c.greedy_cover_size_interned(key, &w.bag, h), true),
-                    None => (greedy(&w.bag), true),
-                }
-            }
-            (CoverMethod::Greedy, _, None) => (greedy(&w.bag), true),
+            (None, None) => exact_cover_size_capped(bag, h, ub),
         }
     }
 }
@@ -190,18 +159,25 @@ impl Measure for Ghw<'_> {
     }
 
     fn worker(&self) -> GhwWorker {
-        self.worker_with(StateInterner::for_vertices(self.h.num_vertices()))
+        let n = self.h.num_vertices();
+        GhwWorker {
+            bag: BitSet::new(n),
+            target: BitSet::new(n),
+            lb_scratch: LbScratch::new(),
+            cache: self.cfg.use_cover_cache.then(|| CoverCache::new(1)),
+            shared_stats: CacheStats::default(),
+            degraded: false,
+        }
     }
 
-    /// Sets up the shared striped cover store and hands each worker its own
-    /// interner shard, so the hot per-node path stays contention-free.
+    /// Sets up the cover store the workers share, striped so concurrent
+    /// probes rarely meet on one lock.
     fn workers(&mut self, n: usize) -> Vec<GhwWorker> {
-        self.striped = self
+        self.shared = self
             .cfg
             .use_cover_cache
-            .then(|| StripedCoverCache::new((n * 4).next_power_of_two().min(64)));
-        let shards = ShardedInterner::for_vertices(n, self.h.num_vertices()).split();
-        shards.into_iter().map(|s| self.worker_with(s)).collect()
+            .then(|| CoverCache::new((n * 4).next_power_of_two().min(64)));
+        (0..n).map(|_| self.worker()).collect()
     }
 
     fn reduction(&self, eg: &EliminationGraph, _f: usize) -> Option<usize> {
@@ -224,14 +200,7 @@ impl Measure for Ghw<'_> {
         }
         w.target.copy_from(eg.alive());
         w.target.intersect_with(&self.covered);
-        let interned = match w.cache.as_mut() {
-            Some(c) => try_intern_key(&mut w.interner, &mut w.interner_overflow, w.target.blocks())
-                .map(|key| c.greedy_cover_size_interned(key, &w.target, self.h)),
-            None => None,
-        };
-        Completion::Within(
-            interned.unwrap_or_else(|| greedy_cover_size::<StdRng>(&w.target, self.h, None)),
-        )
+        Completion::Within(greedy_size(w.cache.as_ref(), &w.target, self.h))
     }
 
     fn eliminate(
@@ -275,28 +244,22 @@ impl Measure for Ghw<'_> {
         self.cfg.cover == CoverMethod::Exact && !w.degraded
     }
 
-    fn abandoned(&self, w: &GhwWorker) -> bool {
-        w.interner_overflow
-    }
-
     /// Attributes the worker's shared-store queries to it, so merged
     /// hits/misses equal the sum over `worker_caches` exactly.
     fn finish(&self, w: &GhwWorker, telemetry: &mut Telemetry) -> Option<CacheStats> {
-        let local = w.cache.as_ref().map(|c| c.stats());
+        let local = w.cache.as_ref().map(CoverCache::stats);
         if let Some(mut attributed) = local {
             attributed.hits += w.shared_stats.hits;
             attributed.misses += w.shared_stats.misses;
             telemetry.cache(attributed);
         }
-        let overflow = w.interner_overflow;
-        telemetry.note(|s| s.interner_overflow |= overflow);
         local
     }
 
     /// The shared store's counters plus every local memo's: hits, misses
     /// and evictions sum; `entries` is a gauge and takes the maximum.
     fn cover_total(&self, locals: &[CacheStats]) -> Option<CacheStats> {
-        let mut total = match &self.striped {
+        let mut total = match &self.shared {
             Some(s) => s.stats(),
             None if locals.is_empty() => return None,
             None => CacheStats::default(),
@@ -308,8 +271,7 @@ impl Measure for Ghw<'_> {
     }
 
     fn state_bytes(&self, workers: &[GhwWorker]) -> usize {
-        let cache = |w: &GhwWorker| w.cache.as_ref().map_or(0, CoverCache::bytes);
-        workers.iter().map(|w| w.interner.bytes() + cache(w)).sum()
+        workers.iter().filter_map(|w| w.cache.as_ref()).map(CoverCache::bytes).sum()
     }
 }
 
@@ -365,10 +327,11 @@ pub fn witness_ghw(
 }
 
 /// Work-stealing parallel BB-ghw; the ghw twin of
-/// [`crate::bb_tw::bb_tw_parallel`]. Workers also share one striped store
-/// of proven covers ([`StripedCoverCache`]) and keep private interner
-/// shards ([`ShardedInterner`]). Under [`CoverMethod::Exact`] every cover
-/// fact is exact, so cached, uncached and striped runs agree bit for bit.
+/// [`crate::bb_tw::bb_tw_parallel`]. Workers share one striped
+/// [`CoverCache`] for their exact bag covers and keep their PR1 greedy
+/// covers in their own one-stripe store. Under [`CoverMethod::Exact`]
+/// every cover fact is exact, so cached, uncached and parallel runs agree
+/// bit for bit.
 /// The merged [`SearchResult::cover_cache`] sums counters and maxes the
 /// `entries` gauge; per-worker stats are in
 /// [`crate::SearchStats::worker_caches`].

@@ -392,7 +392,7 @@ pub struct SearchStats {
     pub open_peak_bytes: u64,
     /// Peak bytes reserved by the A\* closed set (state interner plus its
     /// dense g-side-table) and the measure's worker state (for ghw its
-    /// cover interner and cache); for BB only parallel runs report it.
+    /// cover store, keys included); for BB only parallel runs report it.
     pub seen_peak_bytes: u64,
     /// Per-worker cover-cache stats (parallel BB-ghw; empty elsewhere).
     pub worker_caches: Vec<CacheStats>,
@@ -405,11 +405,6 @@ pub struct SearchStats {
     /// longer proven heap-equivalent: the search withdraws its exactness
     /// claim and reports the conservative root lower bound.
     pub queue_degraded: bool,
-    /// `true` iff an interner shard exhausted its worker-local id space
-    /// (`2^LOCAL_BITS` states) and its worker degraded soundly — folding
-    /// into the expiry floor like a second fault — instead of silently
-    /// wrapping ids into another worker's range.
-    pub interner_overflow: bool,
     /// Contained worker panics observed during the run (parallel searches
     /// only; each record names the worker, the task id and the stringified
     /// panic payload). Mirrors [`SearchResult::faults`], which
@@ -447,7 +442,6 @@ impl SearchStats {
             out.worker_caches.extend(p.worker_caches);
             out.worker_steals.extend(p.worker_steals);
             out.queue_degraded |= p.queue_degraded;
-            out.interner_overflow |= p.interner_overflow;
             out.faults.extend(p.faults);
         }
         out.incumbents.sort_by_key(|s| s.elapsed);

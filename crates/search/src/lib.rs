@@ -14,6 +14,11 @@
 //! (`astar.rs`). `bb_tw` and `bb_ghw` supply the two measures and the
 //! public entry points of both engines. The safe-separator split
 //! (`split.rs`) is likewise one driver over a tw and a ghw pipeline.
+//!
+//! The ghw measure memoises bag covers in
+//! [`ghd_core::setcover::CoverCache`]: each search worker owns a
+//! one-stripe store, and the workers of a parallel run share one striped
+//! store. The A\* closed set interns its state keys ([`StateInterner`]).
 
 pub mod arena;
 mod astar;
@@ -25,14 +30,12 @@ pub mod interner;
 pub mod preprocess;
 pub mod queue;
 pub mod rules;
-pub mod sharded;
 pub mod split;
 pub mod steal;
 
 pub use arena::WordArena;
 pub use interner::StateInterner;
 pub use queue::BucketQueue;
-pub use sharded::ShardedInterner;
 pub use steal::StealConfig;
 pub use bb_ghw::{astar_ghw, bb_ghw, bb_ghw_budgeted, bb_ghw_parallel, witness_ghw, BbGhwConfig};
 pub use bb_tw::{astar_tw, bb_tw, bb_tw_budgeted, bb_tw_parallel, witness_tw, BbConfig, LbMode};

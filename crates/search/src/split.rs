@@ -11,7 +11,7 @@
 //! contained-edge reductions are provably safe, so the ghw pipeline is
 //! restricted to those.
 //!
-//! The pipeline is written once: [`split`] drives any [`Pipeline`], and
+//! The pipeline is written once: `split` drives any `Pipeline`, and
 //! `(&Graph, &BbConfig)` and `(&Hypergraph, &BbGhwConfig)` supply only what
 //! differs — the reductions and the plan, the per-block, monolithic and
 //! witness searches, the degraded stand-in for a block and the stitch.
@@ -131,7 +131,7 @@ pub struct SplitOutcome {
 /// Treewidth by safe-separator divide and conquer: preprocess, decompose
 /// the core, solve each block over `threads` workers (`0` = all cores)
 /// against one shared [`Budget`] / cancel token, and recombine. Exact
-/// results are bit-identical to the monolithic sequential [`crate::bb_tw`]
+/// results are bit-identical to the monolithic sequential [`crate::bb_tw()`]
 /// (see the module notes); anytime results report the stitched ordering.
 /// `store` optionally caches exact block solutions across instances.
 pub fn split_tw(
@@ -149,7 +149,7 @@ pub fn split_tw(
 /// (`0` = all cores) against one shared [`Budget`] and concatenated —
 /// components are independent in the primal graph, so the combined width
 /// is the maximum. Exact results are bit-identical to the monolithic
-/// sequential [`crate::bb_ghw`] via witness reconstruction on the whole
+/// sequential [`crate::bb_ghw()`] via witness reconstruction on the whole
 /// instance.
 pub fn split_ghw(
     h: &Hypergraph,

@@ -89,7 +89,7 @@ impl Request {
             .and_then(Json::as_str)
             .ok_or("missing `cmd` string")?
             .to_string();
-        let id = v.get("id").and_then(Json::as_f64).map(|x| x as u64);
+        let id = opt_u64(&v, "id")?;
         let instance = v
             .get("instance")
             .and_then(Json::as_str)
@@ -104,8 +104,21 @@ impl Request {
                 .map(|x| x.as_str().map(String::from).ok_or("`args` must be an array of strings"))
                 .collect::<Result<Vec<_>, _>>()?,
         };
-        let target = v.get("target").and_then(Json::as_f64).map(|x| x as u64);
+        let target = opt_u64(&v, "target")?;
         Ok(Request { id, cmd, instance, args, target })
+    }
+}
+
+/// Reads member `key` as an exact unsigned integer: absent or `null` is
+/// `None`, and anything but a digits-only literal within `u64` is an error,
+/// never a cast.
+fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, String> {
+    match v.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(x) => {
+            let bad = || format!("`{key}` must be an integer in 0..=2^64-1");
+            x.as_u64().map(Some).ok_or_else(bad)
+        }
     }
 }
 
@@ -202,7 +215,7 @@ impl Response {
         let v = Json::parse(line).map_err(|e| format!("{} at byte {}", e.message, e.offset))?;
         let ok = v.get("ok").and_then(Json::as_bool).ok_or("missing `ok` boolean")?;
         Ok(Response {
-            id: v.get("id").and_then(Json::as_f64).map(|x| x as u64),
+            id: opt_u64(&v, "id")?,
             ok,
             body: v.get("body").and_then(Json::as_str).map(String::from),
             error: v.get("error").and_then(Json::as_str).map(String::from),
@@ -239,6 +252,13 @@ mod tests {
         let parsed = Request::parse(&cancel.render()).unwrap();
         assert_eq!(parsed, cancel);
         assert_eq!(parsed.target, Some(42));
+        // ids past 2^53 survive exactly: they are never read through f64
+        for id in [0, (1u64 << 53) + 1, u64::MAX] {
+            let req = Request::control(Some(id), "ping");
+            assert_eq!(Request::parse(&req.render()).unwrap(), req, "request id {id}");
+            let cancel = Request::cancel(None, id);
+            assert_eq!(Request::parse(&cancel.render()).unwrap(), cancel, "target {id}");
+        }
     }
 
     #[test]
@@ -269,6 +289,10 @@ mod tests {
             ..Response::default()
         };
         assert_eq!(Response::parse(&cancelled.render()).unwrap(), cancelled);
+        for id in [0, (1u64 << 53) + 1, u64::MAX] {
+            let resp = Response::fail(Some(id), 69, "no such solve");
+            assert_eq!(Response::parse(&resp.render()).unwrap(), resp, "response id {id}");
+        }
     }
 
     #[test]
@@ -277,5 +301,15 @@ mod tests {
         assert!(Request::parse("{}").unwrap_err().contains("cmd"));
         assert!(Request::parse("{\"cmd\": \"tw\", \"args\": 3}").unwrap_err().contains("args"));
         assert!(Response::parse("{}").unwrap_err().contains("ok"));
+        // an id or target outside u64 is malformed, never cast
+        for bad in ["-1", "1.5", "18446744073709551616", "1e3", "\"7\""] {
+            for key in ["id", "target"] {
+                let line = format!("{{\"cmd\": \"cancel\", \"{key}\": {bad}}}");
+                let err = Request::parse(&line).expect_err(&line);
+                assert!(err.contains(key), "{line}: {err}");
+            }
+            let line = format!("{{\"ok\": true, \"id\": {bad}}}");
+            assert!(Response::parse(&line).is_err(), "{line}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 gate: offline build, full test suite (plus an assertions-on
 # release pass for the search, core and bounds crates and the bounds oracles),
-# workspace-wide lint, the parser fuzz smoke gate, and the two
+# workspace-wide lint and warning-free docs, the parser fuzz smoke gate, and the two
 # self-asserting benches (search cover cache, CSP relation engine). Run from anywhere; exits non-zero on the first
 # failure.
 set -eu
@@ -25,6 +25,9 @@ cargo test --offline -q --profile relassert -p ghd --test certify_differential
 
 echo "==> clippy -D warnings (whole workspace, all targets)"
 cargo clippy --offline -q --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings (whole workspace: no broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q
 
 echo "==> thread-sweep determinism (widths and orderings equal across --threads 1/2/4)"
 GHD="target/release/ghd"

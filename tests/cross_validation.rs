@@ -8,7 +8,9 @@ use ghd::core::eval::TwEvaluator;
 use ghd::core::{CoverMethod, EliminationOrdering};
 use ghd::hypergraph::generators::{graphs, hypergraphs};
 use ghd::hypergraph::{Graph, Hypergraph};
-use ghd::search::{astar_ghw, astar_tw, bb_ghw, bb_tw, BbConfig, BbGhwConfig, SearchLimits};
+use ghd::search::{
+    astar_ghw, astar_tw, bb_ghw, bb_ghw_parallel, bb_tw, BbConfig, BbGhwConfig, SearchLimits,
+};
 
 /// Iterates all permutations of `0..n` (Heap's algorithm).
 fn for_each_permutation(n: usize, mut f: impl FnMut(&[usize])) {
@@ -86,13 +88,25 @@ fn ghw_searches_match_exhaustive_optimum() {
     for seed in 0..6u64 {
         cases.push(hypergraphs::random_hypergraph(7, 5, 3, seed));
     }
+    let uncached = BbGhwConfig {
+        use_cover_cache: false,
+        ..BbGhwConfig::default()
+    };
     for (i, h) in cases.iter().enumerate() {
         let brute = brute_force_ghw(h);
-        let a = astar_ghw(h, SearchLimits::unlimited());
-        let b = bb_ghw(h, &BbGhwConfig::default());
-        assert!(a.exact && b.exact, "case {i}");
-        assert_eq!(a.upper_bound, brute, "A* case {i}");
-        assert_eq!(b.upper_bound, brute, "BB case {i}");
+        // every search path with its own cover store: A*, sequential BB
+        // with and without it, and parallel BB sharing one across workers
+        let runs = [
+            ("A*", astar_ghw(h, SearchLimits::unlimited())),
+            ("BB", bb_ghw(h, &BbGhwConfig::default())),
+            ("BB parallel-1", bb_ghw_parallel(h, &BbGhwConfig::default(), 1)),
+            ("BB parallel-2", bb_ghw_parallel(h, &BbGhwConfig::default(), 2)),
+            ("BB uncached", bb_ghw(h, &uncached)),
+        ];
+        for (name, r) in runs {
+            assert!(r.exact, "{name} case {i}");
+            assert_eq!(r.upper_bound, brute, "{name} case {i}");
+        }
     }
 }
 
