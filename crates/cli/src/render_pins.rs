@@ -57,7 +57,6 @@ const FULL: &str = r#"{
     "open_peak_bytes": 9000,
     "seen_peak_bytes": 10000,
     "queue_degraded": true,
-    "interner_overflow": false,
     "worker_caches": [{"hits": 10, "misses": 2, "evictions": 0, "entries": 2}, {"hits": 0, "misses": 1, "evictions": 1, "entries": 0}],
     "worker_steals": [{"published": 4, "executed": 5, "stolen": 1, "retried": 0}, {"published": 0, "executed": 1, "stolen": 1, "retried": 1}]
   }
