@@ -101,8 +101,8 @@ impl Json {
     }
 }
 
-/// Numbers compare by value as `f64`, as they did before the reader kept
-/// integers exact; two [`Json::Integer`]s compare exactly.
+/// Numbers compare by value: a [`Json::Integer`] equals the
+/// [`Json::Number`] of its `f64` value, and two `Integer`s compare exactly.
 impl PartialEq for Json {
     fn eq(&self, other: &Json) -> bool {
         match (self, other) {
@@ -354,7 +354,7 @@ impl Parser<'_> {
         }
         // the scanned range is ASCII by construction, but stay total anyway
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        if !text.is_empty() && text.bytes().all(|c| c.is_ascii_digit()) {
+        if text.bytes().all(|c| c.is_ascii_digit()) {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Json::Integer(n));
             }
